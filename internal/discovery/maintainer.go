@@ -109,11 +109,6 @@ type Maintainer struct {
 	// private one.
 	overlays *live.Overlays
 
-	// serialRepair forces the per-batch repair to handle flipped
-	// consequents one at a time (Options.SerialRepair); the default stages
-	// all of them as concurrent tasks on the wave scheduler.
-	serialRepair bool
-
 	all   relation.AttrSet
 	rhs   []*rhsState
 	flat  []batchTracker // all trackers, for batch fan-out
@@ -123,15 +118,13 @@ type Maintainer struct {
 	writes  []cellWrite
 	scans   int64 // cumulative full-candidate verifications
 	skips   int64 // cumulative oracle-answered nodes (not persisted)
-	// Multi-RHS kernel counters: traversals is the number of Π*_X walks
-	// the wave scheduler executed, probes the (LHS, RHS) verdicts those
-	// walks produced — probes/traversals is the kernel's fan-in.
-	waveTraversals int64
-	waveProbes     int64
 	// refines counts the subset of scans answered by root refinement —
 	// climb nodes decided from the demoted seed's tracked unsatisfied
-	// classes instead of a wave-kernel partition walk (not persisted).
+	// classes instead of a partition walk (not persisted).
 	refines int64
+	// walks counts the Π*_X partition walks repair verification ran — the
+	// scans root refinement did not answer (not persisted).
+	walks int64
 
 	// needHydrate marks a snapshot-restored maintainer whose cover-tracker
 	// key indexes are still in frozen array form; the first mutating
@@ -210,12 +203,11 @@ func checkMaintainerOptions(opts Options) error {
 // and border state.
 func buildFromCover(ctx context.Context, rel *relation.Relation, ont *ontology.Ontology, initial core.Set, opts Options) (*Maintainer, error) {
 	mt := &Maintainer{
-		rel:          rel,
-		workers:      opts.Workers,
-		stats:        opts.Stats,
-		serialRepair: opts.SerialRepair,
-		all:          rel.Schema().All(),
-		rhs:          make([]*rhsState, rel.NumCols()),
+		rel:     rel,
+		workers: opts.Workers,
+		stats:   opts.Stats,
+		all:     rel.Schema().All(),
+		rhs:     make([]*rhsState, rel.NumCols()),
 	}
 	if opts.Verifier != nil {
 		// Pipeline mode: one partition-cache-backed verifier shared across
@@ -343,7 +335,7 @@ func (mt *Maintainer) buildBorder(ctx context.Context, pv *core.Verifier, rs *rh
 	err := exec.For(ctx, len(scanIdx), exec.Workers(mt.workers), func(_, k int) {
 		i := scanIdx[k]
 		d := core.OFD{LHS: space.Minus(rs.trans[i]), RHS: rs.rhs}
-		res := witnessScanParts(pv, d)
+		res := witnessScanParts(pv, d, nil)
 		if res.valid {
 			panic(fmt.Sprintf("discovery: border node %v is valid; cover for attribute %d is not a cover",
 				d.LHS.Format(mt.rel.Schema()), rs.rhs))
@@ -411,13 +403,13 @@ func (mt *Maintainer) Skips() int64 { return mt.skips }
 // partition walk. Telemetry only; not persisted in snapshots.
 func (mt *Maintainer) Refines() int64 { return mt.refines }
 
-// KernelStats returns the multi-RHS verification kernel's cumulative
-// counters: traversals is the number of Π*_X partition walks the wave
-// scheduler executed, probes the (LHS, RHS) verdicts those walks
-// produced. probes/traversals is the kernel's fan-in — the number of
-// per-pair traversals each walk replaced.
+// KernelStats returns repair verification's cumulative partition-walk
+// counters: traversals is the number of Π*_X walks, probes the (LHS, RHS)
+// verdicts they produced. Every verdict is its own walk, so the two are
+// equal — Scans() minus Refines() on a maintainer that was not restored
+// from a snapshot. Telemetry only; not persisted in snapshots.
 func (mt *Maintainer) KernelStats() (traversals, probes int64) {
-	return mt.waveTraversals, mt.waveProbes
+	return mt.walks, mt.walks
 }
 
 // RepairCache returns the persistent partition cache repair verification
@@ -662,14 +654,17 @@ func (mt *Maintainer) verifyAndCommit(ctx context.Context, touched relation.Attr
 	// rewritten sets and row stamps age out pre-append entries, so only the
 	// touched slice of the partition lattice is repaid per batch.
 	pv := mt.pv
-	type flip struct {
-		rs         *rhsState
-		survivors  []relation.AttrSet
-		demoted    []relation.AttrSet
-		demotedTrk []*coverTracker
-		triggered  []*witnessTracker
-	}
-	var flips []flip
+	// Flipped consequents repair one after another in canonical RHS order;
+	// inside each repairer a level's unknown nodes fan out over the worker
+	// pool (repairer.fanOut), one ProductBuffer per worker shared by every
+	// repairer of the batch. Repairs read only their own consequent's
+	// trackers and stage every effect, so outcomes commit together below;
+	// since every verdict is a pure function of the instance, the result is
+	// byte-identical for any worker count.
+	var staged []stagedRHS
+	bufs := make([]relation.ProductBuffer, exec.Workers(mt.workers))
+	scans, skips, refined := 0, 0, 0
+	var err error
 	for _, rs := range mt.rhs {
 		var survivors, demoted []relation.AttrSet
 		var demotedTrk []*coverTracker
@@ -690,83 +685,41 @@ func (mt *Maintainer) verifyAndCommit(ctx context.Context, touched relation.Attr
 		if len(demoted) == 0 && len(triggered) == 0 {
 			continue
 		}
-		flips = append(flips, flip{rs: rs, survivors: survivors, demoted: demoted, demotedTrk: demotedTrk, triggered: triggered})
-	}
-	// Cross-consequent parallel repair: every flipped consequent's repairer
-	// runs as its own task (repairers are disjoint in state — private memo,
-	// private border nodes — and the partition cache is sharded), with all
-	// verification rendezvousing at the wave scheduler so co-probing
-	// consequents share one Π*_X traversal per antecedent set. Outcomes are
-	// staged per flip slot and committed in canonical RHS order below;
-	// since every verdict is a pure function of the instance, the result is
-	// byte-identical to a serial repair for any worker count and either
-	// scheduling mode.
-	staged := make([]stagedRHS, len(flips))
-	errs := make([]error, len(flips))
-	scansPer := make([]int, len(flips))
-	skipsPer := make([]int, len(flips))
-	refinedPer := make([]int, len(flips))
-	runOne := func(i int, wv *waveVerifier) {
-		f := flips[i]
 		r := &repairer{
 			mt:         mt,
-			wv:         wv,
-			rhs:        f.rs.rhs,
-			space:      mt.all.Without(f.rs.rhs),
-			oldCover:   lhsSets(f.rs.cover),
-			survivors:  f.survivors,
-			demoted:    f.demoted,
-			demotedTrk: f.demotedTrk,
+			bufs:       bufs,
+			rhs:        rs.rhs,
+			space:      mt.all.Without(rs.rhs),
+			oldCover:   lhsSets(rs.cover),
+			survivors:  survivors,
+			demoted:    demoted,
+			demotedTrk: demotedTrk,
 			touched:    touched,
-			rhsTouched: touched.Has(f.rs.rhs),
+			rhsTouched: touched.Has(rs.rhs),
 			hasAppend:  hasAppend,
 			memo:       make(map[relation.AttrSet]bool),
 		}
-		newCover, err := r.run(ctx, f.triggered)
-		scansPer[i], skipsPer[i], refinedPer[i], errs[i] = r.scans, r.skips, r.refined, err
-		staged[i] = stagedRHS{rhs: f.rs.rhs, newCover: newCover, triggered: f.triggered}
-	}
-	if mt.serialRepair || len(flips) <= 1 {
-		for i := range flips {
-			wv := newWaveVerifier(ctx, pv, mt.workers, 1)
-			runOne(i, wv)
-			tr, pr := wv.kernelStats()
-			mt.waveTraversals += tr
-			mt.waveProbes += pr
-			if errs[i] != nil {
-				break
-			}
+		var newCover []relation.AttrSet
+		newCover, err = r.run(ctx, triggered)
+		scans, skips, refined = scans+r.scans, skips+r.skips, refined+r.refined
+		if err != nil {
+			break
 		}
-	} else {
-		wv := newWaveVerifier(ctx, pv, mt.workers, len(flips))
-		exec.Tasks(len(flips), func(i int) {
-			defer wv.finish()
-			runOne(i, wv)
-		})
-		tr, pr := wv.kernelStats()
-		mt.waveTraversals += tr
-		mt.waveProbes += pr
-	}
-	scans, skips, refined := 0, 0, 0
-	for i := range flips {
-		scans += scansPer[i]
-		skips += skipsPer[i]
-		refined += refinedPer[i]
+		staged = append(staged, stagedRHS{rhs: rs.rhs, newCover: newCover, triggered: triggered})
 	}
 	verifySpan.Items(scans)
 	verifySpan.Skipped(skips)
 	verifySpan.End()
-	for i := range flips {
-		if errs[i] != nil {
-			if rollback != nil {
-				rollback()
-			}
-			return Diff{}, errs[i]
+	if err != nil {
+		if rollback != nil {
+			rollback()
 		}
+		return Diff{}, err
 	}
 	mt.scans += int64(scans)
 	mt.skips += int64(skips)
 	mt.refines += int64(refined)
+	mt.walks += int64(scans - refined)
 	// Commit — uncancellable: the batch's writes are already in, every
 	// remaining effect is deterministic bookkeeping.
 	diffSpan := mt.stats.Span("maintain.diff")

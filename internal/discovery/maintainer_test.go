@@ -82,6 +82,7 @@ func applyOp(t *testing.T, mt *Maintainer, op streamOp) Diff {
 func TestMaintainerMatchesFreshDiscover(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	workerSweep := []int{1, 2, 0}
+	var walks int64
 	for trial := 0; trial < 25; trial++ {
 		rel, ont := randomInstance(rng)
 		domain := 4
@@ -123,6 +124,19 @@ func TestMaintainerMatchesFreshDiscover(t *testing.T) {
 				}
 			}
 		}
+		// One partition walk per verdict: every scan root refinement did
+		// not answer is exactly one walk.
+		for k, mt := range mts {
+			trav, probes := mt.KernelStats()
+			if want := mt.Scans() - mt.Refines(); trav != want || probes != want {
+				t.Fatalf("trial %d workers=%d: KernelStats()=(%d, %d), want Scans()-Refines()=%d for both",
+					trial, workerSweep[k], trav, probes, want)
+			}
+			walks += trav
+		}
+	}
+	if walks == 0 {
+		t.Fatal("no repair ran a partition walk; the KernelStats check is vacuous")
 	}
 }
 

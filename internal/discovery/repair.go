@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sort"
 
+	"github.com/fastofd/fastofd/internal/core"
+	"github.com/fastofd/fastofd/internal/exec"
 	"github.com/fastofd/fastofd/internal/relation"
 )
 
@@ -36,13 +38,13 @@ import (
 //     descent results is exactly the post-state minimal cover.
 type repairer struct {
 	mt         *Maintainer
-	wv         *waveVerifier // wave-batched partition-backed verification (post state)
+	bufs       []relation.ProductBuffer // one per verification worker, shared across the batch's repairers
 	rhs        int
 	space      relation.AttrSet   // all attributes minus rhs
 	oldCover   []relation.AttrSet // pre-batch cover antichain (canonical order)
 	survivors  []relation.AttrSet // old cover elements still valid
 	demoted    []relation.AttrSet // old cover elements now invalid
-	demotedTrk []*coverTracker    // trackers aligned with demoted; nil falls back to the wave
+	demotedTrk []*coverTracker    // trackers aligned with demoted; nil falls back to partition walks
 	touched    relation.AttrSet   // columns the batch updated
 	rhsTouched bool               // touched.Has(rhs), hoisted off the per-node oracle path
 	hasAppend  bool               // batch appended rows (demote-only signal)
@@ -89,17 +91,41 @@ func (r *repairer) oracleAnswer(x relation.AttrSet) (bool, bool) {
 	return false, false
 }
 
+// fanOut runs check(i, buf) for i in [0, n) over the maintainer's worker
+// pool, handing each worker its own ProductBuffer. It is the repair's
+// only partition-walk path and its cancellation point, polled once per
+// level and per claimed item: an interrupted fan-out returns the context
+// error with the caller's result slots partially filled.
+func (r *repairer) fanOut(ctx context.Context, n int, check func(i int, buf *relation.ProductBuffer)) error {
+	if n == 0 {
+		return nil
+	}
+	if err := exec.Interrupted(ctx, "maintain.verify"); err != nil {
+		return err
+	}
+	return exec.For(ctx, n, len(r.bufs), func(w, i int) { check(i, &r.bufs[w]) })
+}
+
+// verify answers HoldsSynOnePass for every node against the repairer's
+// consequent, in node order.
+func (r *repairer) verify(ctx context.Context, nodes []relation.AttrSet) ([]bool, error) {
+	out := make([]bool, len(nodes))
+	err := r.fanOut(ctx, len(nodes), func(i int, buf *relation.ProductBuffer) {
+		out[i] = r.mt.pv.HoldsSynOnePass(core.OFD{LHS: nodes[i], RHS: r.rhs}, buf)
+	})
+	return out, err
+}
+
 // resolve verifies the given nodes (deduplicated, sorted by the caller)
-// through the wave scheduler and memoizes the results. Verification goes
-// through the maintainer's partition-backed verifier — stripped-partition
-// products answer a node in microseconds where a raw candidate scan pays
-// O(N·|X|), the cache shares subset partitions across the whole repair
-// pass (every consequent, every level, and across batches), and the wave
-// merges co-probing consequents onto one traversal per antecedent set.
-// Cancellation leaves the memo untouched for unfinished nodes; the caller
-// aborts the repair.
-func (r *repairer) resolve(_ context.Context, nodes []relation.AttrSet) error {
-	verdicts, err := r.wv.verify(r.rhs, nodes)
+// and memoizes the results. Verification goes through the maintainer's
+// partition-backed verifier — stripped-partition products answer a node
+// in microseconds where a raw candidate scan pays O(N·|X|), and the cache
+// shares subset partitions across the whole repair pass (every
+// consequent, every level, and across batches). The level's nodes fan out
+// over the worker pool. Cancellation leaves the memo untouched; the
+// caller aborts the repair.
+func (r *repairer) resolve(ctx context.Context, nodes []relation.AttrSet) error {
+	verdicts, err := r.verify(ctx, nodes)
 	if err != nil {
 		return err
 	}
@@ -124,7 +150,7 @@ func (r *repairer) classify(ctx context.Context, nodes []relation.AttrSet) (map[
 // node that expanded it, and a node whose seed has a rootRefiner is
 // answered locally from tracked class state — the oracle still goes
 // first (its answers are free), and only refiner-less nodes fall through
-// to the wave kernel.
+// to a partition walk.
 func (r *repairer) classifySorted(ctx context.Context, nodes []relation.AttrSet, roots []int, parents []relation.AttrSet, refiners []*rootRefiner) (map[relation.AttrSet]bool, error) {
 	out := make(map[relation.AttrSet]bool, len(nodes))
 	var unknown []relation.AttrSet
@@ -159,11 +185,11 @@ func (r *repairer) classifySorted(ctx context.Context, nodes []relation.AttrSet,
 // Every frontier node carries the demoted seed it grew from: a climb node
 // Y necessarily contains its seed X₀, so when X₀'s cover tracker is
 // available Y verifies through a rootRefiner — splitting X₀'s few
-// unsatisfied classes by Y \ X₀ — instead of paying the wave kernel a
-// partition product over the whole relation. A node reachable from
-// several seeds is claimed by whichever expansion reaches it first in
-// canonical frontier order; any containing seed yields the same verdict,
-// so the choice affects cost only, never the result.
+// unsatisfied classes by Y \ X₀ — instead of paying a partition product
+// over the whole relation. A node reachable from several seeds is claimed
+// by whichever expansion reaches it first in canonical frontier order;
+// any containing seed yields the same verdict, so the choice affects cost
+// only, never the result.
 func (r *repairer) bfsUp(ctx context.Context) ([]relation.AttrSet, error) {
 	if len(r.demoted) == 0 {
 		return nil, nil
@@ -333,28 +359,27 @@ func (r *repairer) run(ctx context.Context, triggered []*witnessTracker) ([]rela
 	}
 	// Cheap partition-backed validity probe over every triggered node; only
 	// the still-invalid ones pay a full scan, which is what produces their
-	// next certificate anyway. Both rounds ride the wave scheduler, so
-	// consequents triggered by the same batch share each probed antecedent's
-	// traversal.
+	// next certificate anyway.
 	probeNodes := make([]relation.AttrSet, len(triggered))
 	for i, wt := range triggered {
 		probeNodes[i] = wt.d.LHS
 	}
-	nowValid, err := r.wv.verify(r.rhs, probeNodes)
+	nowValid, err := r.verify(ctx, probeNodes)
 	if err != nil {
 		return nil, err
 	}
 	r.scans += len(triggered)
 	var rescan []int
-	var rescanNodes []relation.AttrSet
 	for i, wt := range triggered {
 		r.memo[wt.d.LHS] = nowValid[i]
 		if !nowValid[i] {
 			rescan = append(rescan, i)
-			rescanNodes = append(rescanNodes, wt.d.LHS)
 		}
 	}
-	wits, err := r.wv.witnessScan(r.rhs, rescanNodes)
+	wits := make([]scanResult, len(rescan))
+	err = r.fanOut(ctx, len(rescan), func(k int, buf *relation.ProductBuffer) {
+		wits[k] = witnessScanParts(r.mt.pv, triggered[rescan[k]].d, buf)
+	})
 	if err != nil {
 		return nil, err
 	}
