@@ -169,13 +169,13 @@ func exp4LatticeLevels(cfg runConfig) {
 		totalTime += ls.Elapsed
 		total += ls.Discovered
 	}
-	fmt.Printf("%-6s %10s %10s %12s %10s %10s\n", "level", "nodes", "OFDs", "time", "cum OFDs%", "cum time%")
+	fmt.Printf("%-6s %10s %10s %12s %10s %12s %10s %10s\n", "level", "nodes", "products", "prod tuples", "OFDs", "time", "cum OFDs%", "cum time%")
 	cumOFD, cumTime := 0, time.Duration(0)
 	for _, ls := range res.Levels {
 		cumOFD += ls.Discovered
 		cumTime += ls.Elapsed
-		fmt.Printf("%-6d %10d %10d %12s %9.0f%% %9.0f%%\n",
-			ls.Level, ls.Nodes, ls.Discovered, ls.Elapsed.Round(time.Millisecond),
+		fmt.Printf("%-6d %10d %10d %12d %10d %12s %9.0f%% %9.0f%%\n",
+			ls.Level, ls.Nodes, ls.Products, ls.ProductTuples, ls.Discovered, ls.Elapsed.Round(time.Millisecond),
 			100*float64(cumOFD)/float64(max(total, 1)),
 			100*float64(cumTime)/float64(max64(totalTime, 1)))
 	}

@@ -123,10 +123,10 @@ func main() {
 	fmt.Fprintf(os.Stderr, "%d OFDs over %d tuples x %d attributes in %s (%d candidates checked)\n",
 		len(res.OFDs), rel.NumRows(), rel.NumCols(), res.Elapsed.Round(1e6), res.CandidatesChecked)
 	if *stats {
-		fmt.Fprintf(os.Stderr, "%-6s %8s %10s %10s %12s\n", "level", "nodes", "cands", "OFDs", "time")
+		fmt.Fprintf(os.Stderr, "%-6s %8s %10s %12s %10s %10s %12s\n", "level", "nodes", "products", "prod tuples", "cands", "OFDs", "time")
 		for _, ls := range res.Levels {
-			fmt.Fprintf(os.Stderr, "%-6d %8d %10d %10d %12s\n",
-				ls.Level, ls.Nodes, ls.Candidates, ls.Discovered, ls.Elapsed.Round(1e6))
+			fmt.Fprintf(os.Stderr, "%-6d %8d %10d %12d %10d %10d %12s\n",
+				ls.Level, ls.Nodes, ls.Products, ls.ProductTuples, ls.Candidates, ls.Discovered, ls.Elapsed.Round(1e6))
 		}
 	}
 	if derr != nil {

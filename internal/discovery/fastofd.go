@@ -106,11 +106,19 @@ func DefaultOptions() Options {
 
 // LevelStat records per-lattice-level effort and yield (Exp-4).
 type LevelStat struct {
-	Level      int           // antecedent size + 1 (lattice level l)
-	Nodes      int           // attribute sets visited at this level
-	Candidates int           // candidate OFDs verified
-	Discovered int           // minimal OFDs found
-	Elapsed    time.Duration // wall time spent at this level
+	Level      int // antecedent size + 1 (lattice level l)
+	Nodes      int // attribute sets visited at this level
+	Candidates int // candidate OFDs verified
+	Discovered int // minimal OFDs found
+	// Products counts the nodes of this level built by a partition
+	// refinement; the rest (Nodes − Products at levels ≥ 2) are supersets
+	// of superkeys whose refinement Opt-3 skipped. Level 1 reads its
+	// single-column partitions from the cache and reports 0.
+	Products int
+	// ProductTuples is the stripped payload Σ‖Π*_Y‖ of the parents those
+	// refinements read — the work building the level did.
+	ProductTuples int64
+	Elapsed       time.Duration // wall time spent at this level
 }
 
 // Result is the output of a discovery run. On a cancelled or timed-out
@@ -134,6 +142,7 @@ type node struct {
 	cplus    relation.AttrSet // C⁺(X) as a bitset
 	part     *relation.Partition
 	superkey bool
+	base     relation.AttrSet // the parent part was refined from (levels ≥ 2)
 }
 
 type discoverer struct {
@@ -172,6 +181,27 @@ func DiscoverContext(ctx context.Context, rel *relation.Relation, ont *ontology.
 		stats = exec.NewStats()
 	}
 	totalSpan := stats.Span("discover.total")
+	d, err := newDiscoverer(ctx, rel, ont, opts, stats)
+	pc := d.verifier.Partitions()
+	if err == nil {
+		err = d.run(ctx)
+	}
+	d.result.OFDs = d.sigma
+	d.result.OFDs.Sort()
+	d.result.Elapsed = time.Since(start)
+	st := pc.Stats()
+	totalSpan.Cache(st.Hits, st.Misses)
+	totalSpan.Workers(d.pool.Size())
+	totalSpan.Items(d.result.CandidatesChecked)
+	totalSpan.End()
+	return d.result, err
+}
+
+// newDiscoverer sets up a run: the worker pool and the partition cache
+// with every single-column partition built on it. A cancelled context
+// leaves the cache partially warmed and returns the wrapped error with a
+// usable discoverer.
+func newDiscoverer(ctx context.Context, rel *relation.Relation, ont *ontology.Ontology, opts Options, stats *exec.Stats) (*discoverer, error) {
 	pool := exec.NewPool(opts.Workers, stats)
 	// Build the initial single-column partitions with the same worker
 	// count the traversal will use.
@@ -192,43 +222,37 @@ func DiscoverContext(ctx context.Context, rel *relation.Relation, ont *ontology.
 	if d.kappa <= 0 || d.kappa > 1 {
 		d.kappa = 1
 	}
-	if err == nil {
-		err = d.run(ctx)
-	}
-	d.result.OFDs = d.sigma
-	d.result.OFDs.Sort()
-	d.result.Elapsed = time.Since(start)
-	st := pc.Stats()
-	totalSpan.Cache(st.Hits, st.Misses)
-	totalSpan.Workers(pool.Size())
-	totalSpan.Items(d.result.CandidatesChecked)
-	totalSpan.End()
-	return d.result, err
+	return d, err
 }
 
-func (d *discoverer) run(ctx context.Context) error {
-	n := d.rel.NumCols()
+// firstLevel returns lattice level 1: the singleton attribute sets with
+// their cached partitions. C⁺(∅) = R, so C⁺({A}) = R.
+func (d *discoverer) firstLevel() map[relation.AttrSet]*node {
 	pc := d.verifier.Partitions()
-	// Level-1 candidates have LHS = ∅; the first verification computes and
-	// caches the empty-set partition on demand (the cache is sharded and
-	// locked, so concurrent workers missing on it at once are safe).
-
-	// Level 1: singleton attribute sets. C⁺(∅) = R, so C⁺({A}) = R.
-	buildStart := time.Now()
-	level := make(map[relation.AttrSet]*node, n)
-	for a := 0; a < n; a++ {
+	level := make(map[relation.AttrSet]*node, d.rel.NumCols())
+	for a := 0; a < d.rel.NumCols(); a++ {
 		s := relation.Single(a)
 		p := pc.Get(s)
 		level[s] = &node{attrs: s, cplus: d.all, part: p, superkey: p.IsKeyOver()}
 	}
+	return level
+}
+
+func (d *discoverer) run(ctx context.Context) error {
+	pc := d.verifier.Partitions()
+	// Level-1 candidates have LHS = ∅; the first verification computes and
+	// caches the empty-set partition on demand (the cache is sharded and
+	// locked, so concurrent workers missing on it at once are safe).
+	buildStart := time.Now()
+	level := d.firstLevel()
 	buildTime := time.Since(buildStart)
+	// built carries the products that built the current level into its
+	// stat; level 1 has none.
+	var built LevelStat
 
 	for l := 1; len(level) > 0; l++ {
-		if d.opts.MaxLevel > 0 && l > d.opts.MaxLevel {
-			break
-		}
 		lvlStart := time.Now()
-		stat := LevelStat{Level: l, Nodes: len(level)}
+		stat := LevelStat{Level: l, Nodes: len(level), Products: built.Products, ProductTuples: built.ProductTuples}
 		verifySpan := d.pool.Stats().Span("discover.verify")
 		verifySpan.Workers(d.verifyWorkers())
 		var err error
@@ -246,10 +270,14 @@ func (d *discoverer) run(ctx context.Context) error {
 		// calculateNextLevel) plus verifying its candidates.
 		stat.Elapsed = buildTime + time.Since(lvlStart)
 		d.result.Levels = append(d.result.Levels, stat)
+		if d.opts.MaxLevel > 0 && l >= d.opts.MaxLevel {
+			break
+		}
 		buildStart = time.Now()
 		buildSpan := d.pool.Stats().Span("discover.build")
 		buildSpan.Workers(d.pool.Size())
-		next, err := d.nextLevel(ctx, level)
+		built = LevelStat{}
+		next, err := d.nextLevel(ctx, level, &built)
 		if next != nil {
 			buildSpan.Items(len(next))
 		}

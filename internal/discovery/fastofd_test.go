@@ -259,6 +259,57 @@ func TestLevelStatsAccounting(t *testing.T) {
 	if checked != res.CandidatesChecked {
 		t.Fatalf("candidate accounting: %d vs %d", checked, res.CandidatesChecked)
 	}
+	for _, ls := range res.Levels {
+		if ls.Products > ls.Nodes || (ls.Level == 1 && ls.Products != 0) {
+			t.Fatalf("level %d: %d products for %d nodes", ls.Level, ls.Products, ls.Nodes)
+		}
+		// Opt-3 skips every superkey parent, so each refined one holds a
+		// class of at least two tuples.
+		if ls.ProductTuples < 2*int64(ls.Products) {
+			t.Fatalf("level %d: %d products refined only %d tuples", ls.Level, ls.Products, ls.ProductTuples)
+		}
+	}
+
+	// Σ Products is exactly the number of nodes built by a refinement. With
+	// PruneAugmentation off every l-set is built, so under PruneKeys the
+	// skipped nodes are the l-sets with a superkey drop-one subset.
+	rng := rand.New(rand.NewSource(33))
+	isKey := func(rel *relation.Relation, x relation.AttrSet) bool {
+		return relation.PartitionOf(rel, x).Strip().IsKeyOver()
+	}
+	skipped := 0
+	for trial := 0; trial < 20; trial++ {
+		rel, ont := randomInstance(rng)
+		all := rel.Schema().All()
+		for _, pruneKeys := range []bool{true, false} {
+			res := Discover(rel, ont, Options{PruneKeys: pruneKeys})
+			want := 0
+			for x := relation.AttrSet(1); x <= all; x++ {
+				if x.Len() < 2 {
+					continue
+				}
+				skip := false
+				for _, a := range x.Attrs() {
+					skip = skip || (pruneKeys && isKey(rel, x.Without(a)))
+				}
+				if skip {
+					skipped++
+				} else {
+					want++
+				}
+			}
+			got := 0
+			for _, ls := range res.Levels {
+				got += ls.Products
+			}
+			if got != want {
+				t.Fatalf("trial %d PruneKeys=%v: Σ Products = %d, want %d non-skipped nodes", trial, pruneKeys, got, want)
+			}
+		}
+	}
+	if skipped == 0 {
+		t.Fatal("no node had a superkey parent: the Opt-3 skip went unexercised")
+	}
 }
 
 // bruteForceInhOFDs enumerates minimal inheritance OFDs exhaustively.

@@ -88,19 +88,27 @@ func (d *discoverer) computeOFDsParallel(ctx context.Context, level map[relation
 }
 
 // nextLevel computes the next lattice level (Algorithm 3,
-// calculateNextLevel) with partition products distributed over the worker
-// pool. Candidate enumeration and map insertion stay serial; only the
-// products — the dominant cost — run concurrently, with workers pulling
+// calculateNextLevel). Candidates come from prefix blocks as in TANE, but
+// each node X is built from whichever drop-one parent Y = X \ {a} has the
+// smallest stripped payload: Π*_X is Π*_Y refined by column a's row→class
+// vector, three passes over min‖Π*_Y‖ instead of a general product of the
+// two prefix-block parents. A superkey parent therefore costs nothing,
+// and with PruneKeys (Opt-3) its supersets skip the refinement entirely.
+// stat receives the level's product count and refined payload.
+//
+// Candidate enumeration and map insertion stay serial; only the
+// refinements — the dominant cost — run concurrently, with workers pulling
 // jobs from the shared substrate and each reusing its own level-spanning
-// ProductBuffer. Unlike verification, the products are independent of the
-// discovered set, so they honor Options.Workers in every configuration
-// (including the PruneAugmentation ablation). A cancelled context stops
-// the product fan-out between jobs and surfaces the wrapped error; the
-// partially built level is discarded by the caller.
-func (d *discoverer) nextLevel(ctx context.Context, level map[relation.AttrSet]*node) (map[relation.AttrSet]*node, error) {
+// ProductBuffer. Unlike verification, the refinements are independent of
+// the discovered set, so they honor Options.Workers in every
+// configuration (including the PruneAugmentation ablation). A cancelled
+// context stops the fan-out between jobs and surfaces the wrapped error;
+// the partially built level is discarded by the caller.
+func (d *discoverer) nextLevel(ctx context.Context, level map[relation.AttrSet]*node, stat *LevelStat) (map[relation.AttrSet]*node, error) {
 	type job struct {
 		x    relation.AttrSet
-		a, b *node
+		base *node // smallest-payload drop-one parent
+		col  int   // the attribute x adds to base
 		// skipProduct marks supersets of known superkeys (Opt-3).
 		skipProduct bool
 		cplus       relation.AttrSet
@@ -108,8 +116,7 @@ func (d *discoverer) nextLevel(ctx context.Context, level map[relation.AttrSet]*
 	}
 	blocks := make(map[relation.AttrSet][]*node)
 	for _, nd := range level {
-		attrs := nd.attrs.Attrs()
-		prefix := nd.attrs.Without(attrs[len(attrs)-1])
+		prefix := nd.attrs.Without(nd.attrs.Last())
 		blocks[prefix] = append(blocks[prefix], nd)
 	}
 	prefixes := make([]relation.AttrSet, 0, len(blocks))
@@ -130,25 +137,31 @@ func (d *discoverer) nextLevel(ctx context.Context, level map[relation.AttrSet]*
 					continue
 				}
 				seen[x] = struct{}{}
+				jb := &job{x: x, cplus: d.all}
 				ok := true
-				cplus := d.all
 				for _, a := range x.Attrs() {
 					sub, in := level[x.Without(a)]
 					if !in {
 						ok = false
 						break
 					}
-					cplus = cplus.Intersect(sub.cplus)
+					jb.cplus = jb.cplus.Intersect(sub.cplus)
+					if jb.base == nil || sub.part.Size() < jb.base.part.Size() {
+						jb.base, jb.col = sub, a
+					}
 				}
 				if !ok {
 					continue
 				}
-				if d.opts.PruneAugmentation && cplus.IsEmpty() {
+				if d.opts.PruneAugmentation && jb.cplus.IsEmpty() {
 					continue
 				}
-				jb := &job{x: x, a: block[i], b: block[j], cplus: cplus}
-				if d.opts.PruneKeys && (block[i].superkey || block[j].superkey) {
-					jb.skipProduct = true
+				// A superkey parent has the empty (minimum) payload, so
+				// base is a superkey iff any parent is.
+				jb.skipProduct = d.opts.PruneKeys && jb.base.superkey
+				if !jb.skipProduct {
+					stat.Products++
+					stat.ProductTuples += int64(jb.base.part.Size())
 				}
 				jobs = append(jobs, jb)
 			}
@@ -157,28 +170,22 @@ func (d *discoverer) nextLevel(ctx context.Context, level map[relation.AttrSet]*
 
 	w := d.pool.Size()
 	bufs := d.workerBufs(w)
+	pc := d.verifier.Partitions()
 	if err := exec.For(ctx, len(jobs), w, func(worker, i int) {
 		jb := jobs[i]
 		if jb.skipProduct {
 			jb.part = &relation.Partition{N: d.rel.NumRows(), Stripped: true}
 			return
 		}
-		jb.part = bufs[worker].Product(jb.a.part, jb.b.part)
+		jb.part = pc.Refine(jb.base.part, jb.col, &bufs[worker])
 	}); err != nil {
 		return nil, err
 	}
 
 	next := make(map[relation.AttrSet]*node, len(jobs))
-	pc := d.verifier.Partitions()
 	for _, jb := range jobs {
-		nd := &node{attrs: jb.x, cplus: jb.cplus, part: jb.part}
-		if jb.skipProduct {
-			nd.superkey = true
-		} else {
-			nd.superkey = jb.part.IsKeyOver()
-		}
 		pc.Put(jb.x, jb.part)
-		next[jb.x] = nd
+		next[jb.x] = &node{attrs: jb.x, cplus: jb.cplus, part: jb.part, superkey: jb.part.IsKeyOver(), base: jb.base.attrs}
 	}
 	return next, nil
 }

@@ -34,11 +34,12 @@ func DiscoverFUN(rel *relation.Relation) *Result {
 }
 
 // DiscoverFUNOpts is DiscoverFUN with explicit options. Candidate
-// partitions are computed as parent-partition × single-column products over
-// per-worker ProductBuffers (never through cache probes); per-level
-// cardinalities live in sorted slices. Free sets are downward closed, so
-// every proper subset of a candidate was itself a candidate one level
-// earlier and its cardinality is one binary search away.
+// partitions are computed by refining the parent partition with the added
+// column's row→class vector over per-worker ProductBuffers (never through
+// cache probes); per-level cardinalities live in sorted slices. Free sets
+// are downward closed, so every proper subset of a candidate was itself a
+// candidate one level earlier and its cardinality is one binary search
+// away.
 func DiscoverFUNOpts(rel *relation.Relation, opts Options) *Result {
 	res, _ := DiscoverFUNContext(context.Background(), rel, opts)
 	return res
@@ -65,11 +66,6 @@ func DiscoverFUNContext(ctx context.Context, rel *relation.Relation, opts Option
 	// the singletons they omit.
 	cardOf := func(p *relation.Partition) int {
 		return p.NumClasses() + (nRows - p.Size())
-	}
-
-	singles := make([]*relation.Partition, nAttrs)
-	for a := 0; a < nAttrs; a++ {
-		singles[a] = pc.Get(relation.Single(a))
 	}
 
 	var sigma core.Set
@@ -124,7 +120,7 @@ func DiscoverFUNContext(ctx context.Context, rel *relation.Relation, opts Option
 		span.Items(len(cands))
 		if err := exec.For(ctx, len(cands), workers, func(w, i int) {
 			c := &cands[i]
-			c.part = bufs[w].Product(level[c.parent].part, singles[c.added])
+			c.part = pc.Refine(level[c.parent].part, c.added, &bufs[w])
 			c.card = cardOf(c.part)
 		}); err != nil {
 			// The interrupted level's partial products are discarded; sigma

@@ -38,7 +38,7 @@ func DiscoverTANE(rel *relation.Relation) *Result {
 }
 
 // DiscoverTANEOpts is DiscoverTANE with explicit options. Levels live in
-// sorted slices; next-level partition products fan out over opts.Workers
+// sorted slices; next-level partition refinements fan out over opts.Workers
 // goroutines with retained per-worker ProductBuffers, writing into
 // per-candidate slots so the result is byte-identical for any worker count.
 func DiscoverTANEOpts(rel *relation.Relation, opts Options) *Result {
@@ -159,11 +159,13 @@ func DiscoverTANEContext(ctx context.Context, rel *relation.Relation, opts Optio
 			}
 			return pruned[order[i]].attrs < pruned[order[j]].attrs
 		})
+		// Each candidate is built by refining its smallest-payload
+		// drop-one parent with the missing column's row→class vector.
 		type taneCand struct {
 			attrs relation.AttrSet
 			cplus relation.AttrSet
-			pi    int
-			pj    int
+			base  *relation.Partition
+			col   int
 		}
 		var cands []taneCand
 		for start := 0; start < len(order); {
@@ -173,19 +175,21 @@ func DiscoverTANEContext(ctx context.Context, rel *relation.Relation, opts Optio
 			}
 			for i := start; i < end; i++ {
 				for j := i + 1; j < end; j++ {
-					x := pruned[order[i]].attrs.Union(pruned[order[j]].attrs)
+					c := taneCand{attrs: pruned[order[i]].attrs.Union(pruned[order[j]].attrs), cplus: all}
 					ok := true
-					cplus := all
-					for _, a := range x.Attrs() {
-						sub := pruned.find(x.Without(a))
+					for _, a := range c.attrs.Attrs() {
+						sub := pruned.find(c.attrs.Without(a))
 						if sub == nil {
 							ok = false
 							break
 						}
-						cplus = cplus.Intersect(sub.cplus)
+						c.cplus = c.cplus.Intersect(sub.cplus)
+						if c.base == nil || sub.part.Size() < c.base.Size() {
+							c.base, c.col = sub.part, a
+						}
 					}
-					if ok && !cplus.IsEmpty() {
-						cands = append(cands, taneCand{attrs: x, cplus: cplus, pi: order[i], pj: order[j]})
+					if ok && !c.cplus.IsEmpty() {
+						cands = append(cands, c)
 					}
 				}
 			}
@@ -196,7 +200,7 @@ func DiscoverTANEContext(ctx context.Context, rel *relation.Relation, opts Optio
 		span.Items(len(cands))
 		if err := exec.For(ctx, len(cands), workers, func(w, i int) {
 			c := cands[i]
-			p := bufs[w].Product(pruned[c.pi].part, pruned[c.pj].part)
+			p := pc.Refine(c.base, c.col, &bufs[w])
 			next[i] = taneNode{attrs: c.attrs, cplus: c.cplus, part: p}
 		}); err != nil {
 			// Partial next-level slots are discarded; sigma holds only

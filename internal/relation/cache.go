@@ -68,7 +68,8 @@ const (
 )
 
 // PartitionCache memoizes stripped partitions by attribute set, computing
-// single columns directly and larger sets via Product of cached parts.
+// single columns directly and larger sets by refining a cached subset with
+// the missing columns' row→class vectors.
 //
 // The cache is safe for concurrent use: it is sharded by a mixed hash of
 // the attribute set, each shard guarded by its own RWMutex. Lookups take a
@@ -460,7 +461,7 @@ func (pc *PartitionCache) levelSweep(budget int64, protect AttrSet) {
 }
 
 // Get returns the stripped partition Π*_X, computing and caching it if
-// absent. Supersets are derived by multiplying a cached subset with the
+// absent. Supersets are derived by refining a cached subset by the
 // missing single columns. Safe for concurrent use; concurrent misses on
 // one set may compute it twice but converge on the canonical result.
 func (pc *PartitionCache) Get(attrs AttrSet) *Partition {
@@ -501,7 +502,7 @@ func (pc *PartitionCache) GetWith(attrs AttrSet, buf *ProductBuffer) *Partition 
 		p = SingleColumnPartition(pc.r, attrs.First()).Strip()
 	default:
 		// Find a cached subset obtained by dropping one attribute;
-		// recurse (depth ≤ |attrs|), then multiply the gap back in.
+		// recurse (depth ≤ |attrs|), then refine the gap back in.
 		var best AttrSet
 		found := false
 		for _, i := range attrs.Attrs() {
@@ -519,8 +520,7 @@ func (pc *PartitionCache) GetWith(attrs AttrSet, buf *ProductBuffer) *Partition 
 		p = pc.GetWith(best, buf)
 		cur := best
 		for _, i := range attrs.Minus(best).Attrs() {
-			l := pc.lutFor(i, buf)
-			p = buf.RefineByLUT(p, l.v, l.classes)
+			p = pc.Refine(p, i, buf)
 			// Cache the intermediate too: chains across a repair level
 			// share ascending prefixes, so the next miss finds a longer
 			// drop-one subset and pays one refine instead of re-deriving
@@ -532,6 +532,16 @@ func (pc *PartitionCache) GetWith(attrs AttrSet, buf *ProductBuffer) *Partition 
 	}
 	pc.store(attrs, p)
 	return p
+}
+
+// Refine returns Π*_{X∪{c}} for a partition p = Π*_X over the cache's
+// relation: p refined by column c's row→class vector, in three passes over
+// p's stripped payload. Level-wise traversals build each lattice node this
+// way from one cached parent. Safe for concurrent use as long as each
+// goroutine passes its own buffer.
+func (pc *PartitionCache) Refine(p *Partition, c int, buf *ProductBuffer) *Partition {
+	l := pc.lutFor(c, buf)
+	return buf.RefineByLUT(p, l.v, l.classes)
 }
 
 // lutFor returns column c's row→class vector, building it from the

@@ -215,11 +215,12 @@ func PartitionOf(r *Relation, attrs AttrSet) *Partition {
 // buffers are not safe for concurrent use but may be reused across
 // relations (even of different row counts).
 type ProductBuffer struct {
-	// probe[t] = index of the a-class containing tuple t, or -1. All slots
-	// are -1 between calls; Product resets only the slots it wrote.
+	// probe[t] = index of the larger input's class containing tuple t, or
+	// -1. All slots are -1 between calls; Product resets only the slots it
+	// wrote.
 	probe []int32
-	// counts/cursor are indexed by a-class; counts is all-zero between
-	// calls (reset via touched).
+	// counts/cursor are indexed by lookup class; counts is all-zero
+	// between calls (reset via touched).
 	counts  []int32
 	cursor  []int32
 	touched []int32
@@ -241,14 +242,17 @@ func Product(a, b *Partition) *Partition {
 	return buf.Product(a, b)
 }
 
-// Product is the buffer-reusing form of the package-level Product.
+// Product is the buffer-reusing form of the package-level Product. It is
+// RefineByLUT with the larger input presented as the lookup vector: the
+// probe table is filled from that side, the smaller side is refined by it,
+// and the table is cleared again.
 func (buf *ProductBuffer) Product(a, b *Partition) *Partition {
 	a, b = a.Strip(), b.Strip()
 	// The probe side costs two passes over its payload (fill + clear), the
-	// bucketing side three; giving the probe side the larger payload
+	// refined side three; giving the probe side the larger payload
 	// minimizes the total. It also makes emission follow the smaller —
 	// usually already-refined — side's class order, which is the order the
-	// sorted fast path below accepts.
+	// sorted fast path of RefineByLUT accepts.
 	if len(a.Tuples) < len(b.Tuples) {
 		a, b = b, a
 	}
@@ -264,138 +268,23 @@ func (buf *ProductBuffer) Product(a, b *Partition) *Partition {
 			probe[t] = int32(ci)
 		}
 	}
-	if len(buf.counts) < a.NumClasses() {
-		buf.counts = make([]int32, a.NumClasses())
-		buf.cursor = make([]int32, a.NumClasses())
-	}
-	counts, cursor := buf.counts, buf.cursor
-	if cap(buf.tuples) < len(b.Tuples) {
-		buf.tuples = make([]int32, len(b.Tuples))
-	}
-	scratch := buf.tuples[:cap(buf.tuples)]
-	starts := buf.starts[:0]
-	touched := buf.touched[:0]
-	// For each b-class, bucket its tuples by a-class id in two passes:
-	// count per a-class, assign each surviving (size ≥ 2) bucket a
-	// contiguous range of the scratch array, then fill. Tuples within a
-	// b-class arrive in ascending order, so buckets come out sorted.
-	pos := int32(0)
-	for bc := 0; bc < b.NumClasses(); bc++ {
-		class := b.Class(bc)
-		for _, t := range class {
-			if ci := probe[t]; ci >= 0 {
-				if counts[ci] == 0 {
-					touched = append(touched, ci)
-				}
-				counts[ci]++
-			}
-		}
-		filled := false
-		for _, ci := range touched {
-			if counts[ci] > 1 {
-				cursor[ci] = pos
-				starts = append(starts, pos)
-				pos += counts[ci]
-				filled = true
-			} else {
-				cursor[ci] = -1
-			}
-		}
-		if filled {
-			for _, t := range class {
-				if ci := probe[t]; ci >= 0 && cursor[ci] >= 0 {
-					scratch[cursor[ci]] = t
-					cursor[ci]++
-				}
-			}
-		}
-		for _, ci := range touched {
-			counts[ci] = 0
-		}
-		touched = touched[:0]
-	}
-	buf.touched = touched
-	buf.starts = starts
+	out := buf.RefineByLUT(b, probe, a.NumClasses())
 	// Clear the probe slots we wrote so the next call starts clean.
-	for ci := 0; ci < a.NumClasses(); ci++ {
-		for _, t := range a.Class(ci) {
-			probe[t] = -1
-		}
+	for _, t := range a.Tuples {
+		probe[t] = -1
 	}
-	out := &Partition{N: a.N, Stripped: true}
-	nc := len(starts)
-	if nc == 0 {
-		return out
-	}
-	classEnd := func(k int32) int32 {
-		if int(k+1) < nc {
-			return starts[k+1]
-		}
-		return pos
-	}
-	out.Tuples = make([]int32, pos)
-	out.Offsets = make([]int32, nc+1)
-	// Classes carry sorted tuples already; order classes canonically by
-	// representative. Discovery order is usually close to canonical, so
-	// test sortedness before paying for the permutation.
-	sorted := true
-	for k := 1; k < nc; k++ {
-		if scratch[starts[k]] < scratch[starts[k-1]] {
-			sorted = false
-			break
-		}
-	}
-	if sorted {
-		copy(out.Tuples, scratch[:pos])
-		copy(out.Offsets, starts)
-		out.Offsets[nc] = pos
-		return out
-	}
-	// Canonical reorder without a comparison sort: representatives are
-	// distinct tuple ids, so dropping each class index into a bucket keyed
-	// by its representative and sweeping the row space in ascending order
-	// yields rep-sorted classes in O(nc + max rep) sequential array work —
-	// the quicksort this replaces paid a cache-hostile indirect compare
-	// per element. The sweep clears every slot it reads, keeping the
-	// buffer's all-zero invariant without a separate pass.
-	if len(buf.bucket) < a.N {
-		buf.bucket = make([]int32, a.N)
-	}
-	bucket := buf.bucket
-	maxRep := int32(0)
-	for k := 0; k < nc; k++ {
-		rep := scratch[starts[k]]
-		bucket[rep] = int32(k) + 1
-		if rep > maxRep {
-			maxRep = rep
-		}
-	}
-	w := int32(0)
-	i := 0
-	for t := int32(0); t <= maxRep; t++ {
-		k := bucket[t]
-		if k == 0 {
-			continue
-		}
-		bucket[t] = 0
-		out.Offsets[i] = w
-		i++
-		w += int32(copy(out.Tuples[w:], scratch[starts[k-1]:classEnd(k-1)]))
-	}
-	out.Offsets[nc] = w
 	return out
 }
 
-// RefineByLUT computes Π*_{X∪{c}} = Π*_X · Π*_c with the single column c
-// presented as a prebuilt row→class lookup vector (lut[t] = class index
-// of tuple t in Π*_c, −1 for stripped singleton rows) instead of a
-// partition. The vector is exactly the probe table the general Product
-// fills and clears per call — two O(n) passes over the column's ~n-row
-// payload — so refining by a column costs three passes over p's stripped
-// payload alone: the per-step cost of a repair-time partition chain
-// drops from O(n) to O(‖Π*_X‖). lut must cover every tuple of p (same
-// relation, same row count) and lutClasses must bound its class ids;
-// the output is canonical and byte-identical to Product(p, Π*_c).
+// RefineByLUT computes Π*_{X∪Y} = Π*_X · Π*_Y with Y presented as a
+// row→class lookup vector (lut[t] = class index of tuple t in Π*_Y, −1 for
+// stripped singleton rows) instead of a partition. It is the one partition
+// kernel: Product fills the vector from its larger input and calls it, and
+// PartitionCache.Refine passes a single column's prebuilt vector, so
+// refining by a column costs three passes over p's stripped payload alone
+// — O(‖Π*_X‖) instead of O(n). lut must cover every tuple of p (same
+// relation, same row count) and lutClasses must bound its class ids; the
+// output is canonical and byte-identical to Product(p, Π*_Y).
 func (buf *ProductBuffer) RefineByLUT(p *Partition, lut []int32, lutClasses int) *Partition {
 	p = p.Strip()
 	if len(buf.counts) < lutClasses {
@@ -409,8 +298,10 @@ func (buf *ProductBuffer) RefineByLUT(p *Partition, lut []int32, lutClasses int)
 	scratch := buf.tuples[:cap(buf.tuples)]
 	starts := buf.starts[:0]
 	touched := buf.touched[:0]
-	// Bucket each p-class's tuples by their lut id, exactly as Product
-	// buckets a b-class by the probe table.
+	// For each p-class, bucket its tuples by lut id in two passes: count
+	// per lut class, assign each surviving (size ≥ 2) bucket a contiguous
+	// range of the scratch array, then fill. Tuples within a p-class
+	// arrive in ascending order, so buckets come out sorted.
 	pos := int32(0)
 	for pcl := 0; pcl < p.NumClasses(); pcl++ {
 		class := p.Class(pcl)
@@ -461,6 +352,9 @@ func (buf *ProductBuffer) RefineByLUT(p *Partition, lut []int32, lutClasses int)
 	}
 	out.Tuples = make([]int32, pos)
 	out.Offsets = make([]int32, nc+1)
+	// Classes carry sorted tuples already; order classes canonically by
+	// representative. Discovery order is usually close to canonical, so
+	// test sortedness before paying for the permutation.
 	sorted := true
 	for k := 1; k < nc; k++ {
 		if scratch[starts[k]] < scratch[starts[k-1]] {
@@ -474,6 +368,12 @@ func (buf *ProductBuffer) RefineByLUT(p *Partition, lut []int32, lutClasses int)
 		out.Offsets[nc] = pos
 		return out
 	}
+	// Canonical reorder without a comparison sort: representatives are
+	// distinct tuple ids, so dropping each class index into a bucket keyed
+	// by its representative and sweeping the row space in ascending order
+	// yields rep-sorted classes in O(nc + max rep) sequential array work.
+	// The sweep clears every slot it reads, keeping the buffer's all-zero
+	// invariant without a separate pass.
 	if len(buf.bucket) < p.N {
 		buf.bucket = make([]int32, p.N)
 	}
@@ -501,4 +401,3 @@ func (buf *ProductBuffer) RefineByLUT(p *Partition, lut []int32, lutClasses int)
 	out.Offsets[nc] = w
 	return out
 }
-
