@@ -6,6 +6,7 @@ package fastofd
 // benchmarks make the same sweeps available to `go test -bench`.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -396,11 +397,12 @@ func BenchmarkInheritanceDiscovery(b *testing.B) {
 	})
 }
 
-// BenchmarkMonitorUpdate measures incremental verification vs full
-// re-verification per cell update.
+// BenchmarkMonitorUpdate measures incremental verification (a one-cell
+// ApplyBatch, then 64-cell batches) vs full re-verification.
 func BenchmarkMonitorUpdate(b *testing.B) {
 	ds := gen.Generate(gen.Config{Rows: 4000, Seed: 1, NumOFDs: 6})
-	m, err := NewMonitor(ds.Rel.Clone(), ds.FullOnt, ds.Sigma)
+	ctx := context.Background()
+	m, err := NewMonitor(ctx, ds.Rel.Clone(), ds.FullOnt, ds.Sigma, 0, 1, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -408,7 +410,7 @@ func BenchmarkMonitorUpdate(b *testing.B) {
 	vals := ds.Rel.Project(col)
 	b.Run("incremental", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := m.Update(i%ds.Rel.NumRows(), col, vals[i%len(vals)]); err != nil {
+			if err := m.ApplyBatch(ctx, []CellUpdate{{Row: i % ds.Rel.NumRows(), Col: col, Value: vals[i%len(vals)]}}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -420,7 +422,7 @@ func BenchmarkMonitorUpdate(b *testing.B) {
 				k := i*len(batch) + j
 				batch[j] = CellUpdate{Row: k % ds.Rel.NumRows(), Col: col, Value: vals[k%len(vals)]}
 			}
-			if err := m.ApplyBatch(batch); err != nil {
+			if err := m.ApplyBatch(ctx, batch); err != nil {
 				b.Fatal(err)
 			}
 		}

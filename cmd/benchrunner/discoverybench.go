@@ -159,7 +159,7 @@ func discoveryStream(ds *gen.Dataset, nBatches, batchSize, appendsPerBatch int, 
 }
 
 // replayMaintained applies the stream through the maintainer, flushing
-// each batch's updates through one ApplyBatchContext call and its
+// each batch's updates through one ApplyBatch call and its
 // appended tuples through one AppendRows call, and returns the total
 // diff traffic.
 func replayMaintained(ctx context.Context, mt *discovery.Maintainer, batches [][]monitorOp) (int, error) {
@@ -176,7 +176,7 @@ func replayMaintained(ctx context.Context, mt *discovery.Maintainer, batches [][
 			}
 			updates = append(updates, op.update)
 		}
-		d, err := mt.ApplyBatchContext(ctx, updates)
+		d, err := mt.ApplyBatch(ctx, updates)
 		if err != nil {
 			return churn, err
 		}

@@ -8,6 +8,7 @@ import (
 	"os"
 	"time"
 
+	"github.com/fastofd/fastofd"
 	"github.com/fastofd/fastofd/internal/core"
 	"github.com/fastofd/fastofd/internal/exec"
 	"github.com/fastofd/fastofd/internal/gen"
@@ -126,7 +127,7 @@ func monitorStream(ds *gen.Dataset, sigma core.Set, nBatches, batchSize, appends
 }
 
 // replayIncremental applies the stream through the monitor, flushing each
-// batch's updates through one ApplyBatchContext call.
+// batch's updates through one ApplyBatch call.
 func replayIncremental(ctx context.Context, m *core.Monitor, batches [][]monitorOp) error {
 	var updates []core.CellUpdate
 	for _, ops := range batches {
@@ -140,7 +141,7 @@ func replayIncremental(ctx context.Context, m *core.Monitor, batches [][]monitor
 			}
 			updates = append(updates, op.update)
 		}
-		if err := m.ApplyBatchContext(ctx, updates); err != nil {
+		if err := m.ApplyBatch(ctx, updates); err != nil {
 			return err
 		}
 	}
@@ -264,7 +265,7 @@ func runMonitorBench(ctx context.Context, stats *exec.Stats, path string, rows i
 					if err := exec.Interrupted(ctx, "monitorbench"); err != nil {
 						return partial(err)
 					}
-					m, err := core.NewMonitorSharded(ctx, ds.Rel.Clone(), ds.FullOnt, sigma, s, w, stats)
+					m, err := fastofd.NewMonitor(ctx, ds.Rel.Clone(), ds.FullOnt, sigma, s, w, stats)
 					if err != nil {
 						return partial(err)
 					}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"sort"
 	"time"
 
 	"github.com/fastofd/fastofd/internal/core"
@@ -86,37 +85,20 @@ func replayMerged(ctx context.Context, ds *gen.Dataset, batches [][]monitorOp, s
 	return string(rep), string(cov), nil
 }
 
-// applyToRelation applies the updates to rel and returns the effective
-// deduplicated write log sorted by (row, col) — the same shape the
-// maintainer's LastWrites exposes, which is what the monitor's absorb
-// path consumes (its ApplyBatch guards antecedent columns, but a
-// discovered cover makes nearly every column an antecedent).
-func applyToRelation(rel *relation.Relation, updates []core.CellUpdate) []core.CellWrite {
-	type cell struct{ r, c int }
-	eff := make(map[cell]core.CellWrite, len(updates))
-	for _, u := range updates {
-		k := cell{u.Row, u.Col}
-		old := rel.Value(u.Row, u.Col)
-		rel.SetString(u.Row, u.Col, u.Value)
-		if w, seen := eff[k]; seen {
-			w.New = rel.Value(u.Row, u.Col)
-			eff[k] = w
-			continue
-		}
-		eff[k] = core.CellWrite{Row: u.Row, Col: u.Col, Old: old, New: rel.Value(u.Row, u.Col)}
+// applyToRelation writes the updates' effective write log to rel, evicts
+// the written attribute sets from pc — the writer evicts what it wrote —
+// and returns the log, sorted by (row, col) like the maintainer's
+// LastWrites. The monitor's AbsorbBatch consumes it: its ApplyBatch
+// guards antecedent columns, but a discovered cover makes nearly every
+// column an antecedent.
+func applyToRelation(rel *relation.Relation, pc *relation.PartitionCache, updates []core.CellUpdate) []core.CellWrite {
+	writes := core.EffectiveWrites(rel, updates, nil)
+	var touched relation.AttrSet
+	for _, wr := range writes {
+		rel.SetValue(wr.Row, wr.Col, wr.New)
+		touched = touched.With(wr.Col)
 	}
-	writes := make([]core.CellWrite, 0, len(eff))
-	for _, w := range eff {
-		if w.Old != w.New {
-			writes = append(writes, w)
-		}
-	}
-	sort.Slice(writes, func(a, b int) bool {
-		if writes[a].Row != writes[b].Row {
-			return writes[a].Row < writes[b].Row
-		}
-		return writes[a].Col < writes[b].Col
-	})
+	pc.InvalidateTouched(touched)
 	return writes
 }
 
@@ -135,24 +117,22 @@ func replaySeparate(ctx context.Context, ds *gen.Dataset, batches [][]monitorOp,
 		return "", "", err
 	}
 	// The monitor gets its own clone, cache, and verifier — the pre-merge
-	// shape. A discovered cover routinely chains dependencies (A→B, B→C),
-	// so the relaxed live constructor is the one that accepts it; here it
-	// runs on a private substrate instead of the pipeline's shared one.
+	// shape — instead of the pipeline's shared substrate.
 	relD := ds.Rel.Clone()
 	pcD, err := relation.NewPartitionCacheContext(ctx, relD, workers)
 	if err != nil {
 		return "", "", err
 	}
-	m, err := core.NewMonitorLive(ctx, relD, ds.FullOnt, mt.Cover().Clone(), shards, workers, stats, core.NewVerifier(relD, ds.FullOnt, pcD))
+	m, err := core.NewMonitor(ctx, core.NewVerifier(relD, ds.FullOnt, pcD), mt.Cover().Clone(), shards, workers, stats)
 	if err != nil {
 		return "", "", err
 	}
 	for _, ops := range batches {
 		updates, appends := splitBatch(ops)
-		if _, err := mt.ApplyBatchContext(ctx, updates); err != nil {
+		if _, err := mt.ApplyBatch(ctx, updates); err != nil {
 			return "", "", err
 		}
-		m.AbsorbBatch(applyToRelation(relD, updates))
+		m.AbsorbBatch(applyToRelation(relD, pcD, updates))
 		if len(appends) > 0 {
 			if _, err := mt.AppendRows(appends); err != nil {
 				return "", "", err

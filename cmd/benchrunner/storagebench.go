@@ -9,7 +9,7 @@ import (
 	"path/filepath"
 	"time"
 
-	"github.com/fastofd/fastofd/internal/core"
+	"github.com/fastofd/fastofd"
 	"github.com/fastofd/fastofd/internal/discovery"
 	"github.com/fastofd/fastofd/internal/exec"
 	"github.com/fastofd/fastofd/internal/gen"
@@ -33,7 +33,7 @@ type storageReport struct {
 	// SnapshotBytes is the on-disk size of the saved state: relation
 	// blocks, ontology, cached partitions, monitor indexes, cover.
 	SnapshotBytes int64 `json:"snapshot_bytes"`
-	// ColdBuildNs is the restart cost without snapshots: NewMonitorSharded
+	// ColdBuildNs is the restart cost without snapshots: NewMonitor
 	// plus NewMaintainerContext (a full discovery) over the generated
 	// instance. SaveNs/ReopenNs are the snapshot path; ReopenSpeedup is
 	// the headline ColdBuildNs / ReopenNs.
@@ -132,7 +132,7 @@ type traceRun struct {
 // given budget and policy. A zero budget leaves the cache unbounded (the
 // footprint-reference run).
 func replayTrace(rel *relation.Relation, trace []relation.AttrSet, budget int64, policy relation.EvictionPolicy) traceRun {
-	pc := relation.NewPartitionCacheParallel(rel, 0)
+	pc, _ := relation.NewPartitionCacheContext(context.TODO(), rel, 0)
 	pc.SetPolicy(policy)
 	if budget > 0 {
 		pc.SetBudget(budget)
@@ -188,7 +188,7 @@ func runStorageBench(ctx context.Context, stats *exec.Stats, path string, rows i
 	sigma := monitorSigma(ds)
 
 	start := time.Now()
-	m, err := core.NewMonitorSharded(ctx, ds.Rel, ds.FullOnt, sigma, 4, 0, stats)
+	m, err := fastofd.NewMonitor(ctx, ds.Rel, ds.FullOnt, sigma, 4, 0, stats)
 	if err != nil {
 		return partial(err)
 	}
@@ -324,7 +324,7 @@ func runStorageBench(ctx context.Context, stats *exec.Stats, path string, rows i
 	addRow("sweep-unbounded", ref.ns)
 	var maxEntry int64
 	{
-		pc := relation.NewPartitionCacheParallel(sds.Rel, 0)
+		pc, _ := relation.NewPartitionCacheContext(ctx, sds.Rel, 0)
 		var buf relation.ProductBuffer
 		for _, attrs := range trace {
 			p := pc.GetWith(attrs, &buf)

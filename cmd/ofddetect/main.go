@@ -150,92 +150,36 @@ func main() {
 // replayUpdates streams the update file through the incremental monitor
 // batch by batch and materializes the final violation report —
 // byte-identical to running detection from scratch on the evolved
-// instance. The stream is never loaded whole: records are decoded off a
-// buffered reader one at a time and cell writes batch up to batchSize
-// before flushing through ApplyBatchContext, so replay memory is O(batch)
-// regardless of stream length. '+' records append immediately (appends
-// re-verify only the class the tuple joins). Per-batch flush latencies
-// are summarized to stderr as percentiles when the stream ends. On
-// interrupt the report reflects the stream replayed so far: a cut batch
-// rolls back, so no half-applied batch is ever reported.
+// instance. Per-batch flush latencies are summarized to stderr as
+// percentiles when the stream ends. On interrupt the report reflects the
+// stream replayed so far: a cut batch rolls back, so no half-applied
+// batch is ever reported.
 func replayUpdates(ctx context.Context, rel *fastofd.Relation, ont *fastofd.Ontology, sigma fastofd.Set, path string, batchSize, shards, workers int, stats *fastofd.Stats) (*fastofd.Report, error) {
-	if batchSize < 1 {
-		batchSize = 1
-	}
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	m, err := fastofd.NewMonitorSharded(ctx, rel, ont, sigma, shards, workers, stats)
+	m, err := fastofd.NewMonitor(ctx, rel, ont, sigma, shards, workers, stats)
 	if err != nil {
 		return nil, err
 	}
-
-	r := csv.NewReader(bufio.NewReaderSize(f, 1<<16))
-	r.FieldsPerRecord = -1 // cell writes and appends have different widths
-	r.Comment = '#'
-	r.ReuseRecord = false
-	schema := rel.Schema()
-	batch := make([]fastofd.CellUpdate, 0, batchSize)
 	var latencies []time.Duration
 	defer func() {
 		reportLatencies(os.Stderr, m.NumShards(), latencies)
 	}()
-	flush := func() error {
-		if len(batch) == 0 {
-			return nil
-		}
+	err = replay(f, rel.Schema(), batchSize, func(batch []fastofd.CellUpdate) error {
 		start := time.Now()
-		err := m.ApplyBatchContext(ctx, batch)
-		if err == nil {
-			latencies = append(latencies, time.Since(start))
+		if err := m.ApplyBatch(ctx, batch); err != nil {
+			return err
 		}
-		batch = batch[:0]
+		latencies = append(latencies, time.Since(start))
+		return nil
+	}, func(row []string) error {
+		_, err := m.AppendRow(row)
 		return err
-	}
-	line := 0
-	for {
-		rec, err := r.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return m.Report(), err
-		}
-		line++
-		if len(rec) > 0 && rec[0] == "+" {
-			// Appends see the batched writes before them in stream order.
-			if err := flush(); err != nil {
-				return m.Report(), err
-			}
-			if _, err := m.AppendRow(rec[1:]); err != nil {
-				return m.Report(), fmt.Errorf("updates record %d: %w", line, err)
-			}
-			continue
-		}
-		if len(rec) != 3 {
-			return m.Report(), fmt.Errorf("updates record %d: want row,attr,value or +,v1,...,vk; got %d fields", line, len(rec))
-		}
-		row, err := strconv.Atoi(rec[0])
-		if err != nil {
-			return m.Report(), fmt.Errorf("updates record %d: bad row id %q", line, rec[0])
-		}
-		col, ok := schema.Index(rec[1])
-		if !ok {
-			return m.Report(), fmt.Errorf("updates record %d: unknown attribute %q", line, rec[1])
-		}
-		batch = append(batch, fastofd.CellUpdate{Row: row, Col: col, Value: rec[2]})
-		if len(batch) == batchSize {
-			if err := flush(); err != nil {
-				return m.Report(), err
-			}
-		}
-	}
-	if err := flush(); err != nil {
-		return m.Report(), err
-	}
-	return m.Report(), nil
+	})
+	return m.Report(), err
 }
 
 // replayPipeline streams the update file through the merged
@@ -252,9 +196,6 @@ func replayUpdates(ctx context.Context, rel *fastofd.Relation, ont *fastofd.Onto
 // interrupt the report reflects the stream replayed so far: a cut batch
 // rolls back in both engines, so no half-applied batch is ever reported.
 func replayPipeline(ctx context.Context, rel *fastofd.Relation, ont *fastofd.Ontology, sigma fastofd.Set, path string, batchSize, shards, workers int, stats *fastofd.Stats) (*fastofd.Report, error) {
-	if batchSize < 1 {
-		batchSize = 1
-	}
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -276,12 +217,6 @@ func replayPipeline(ctx context.Context, rel *fastofd.Relation, ont *fastofd.Ont
 	fmt.Fprintf(os.Stderr, "pipeline: maintaining a cover of %d OFDs and monitoring %d on one shared index (%d shards)\n",
 		len(p.Cover()), monitored, p.Monitor().NumShards())
 
-	r := csv.NewReader(bufio.NewReaderSize(f, 1<<16))
-	r.FieldsPerRecord = -1 // cell writes and appends have different widths
-	r.Comment = '#'
-	r.ReuseRecord = false
-	schema := rel.Schema()
-	batch := make([]fastofd.CellUpdate, 0, batchSize)
 	var maintainLat, detectLat []time.Duration
 	defer func() {
 		if len(detectLat) > 0 {
@@ -291,66 +226,82 @@ func replayPipeline(ctx context.Context, rel *fastofd.Relation, ont *fastofd.Ont
 		}
 		reportMaintain(os.Stderr, p.Maintainer(), maintainLat)
 	}()
-	record := func(res fastofd.PipelineBatchResult) {
+	record := func(res fastofd.PipelineBatchResult, err error) error {
+		if err != nil {
+			return err
+		}
 		maintainLat = append(maintainLat, time.Duration(res.MaintainNanos))
 		detectLat = append(detectLat, time.Duration(res.DetectNanos))
-		printDiff(os.Stdout, schema, res.Diff)
+		printDiff(os.Stdout, rel.Schema(), res.Diff)
+		return nil
 	}
+	err = replay(f, rel.Schema(), batchSize, func(batch []fastofd.CellUpdate) error {
+		return record(p.ApplyBatch(ctx, batch))
+	}, func(row []string) error {
+		return record(p.AppendRows([][]string{row}))
+	})
+	return p.Report(), err
+}
+
+// replay decodes an update stream one record at a time off a buffered
+// reader — memory stays O(batch) however long the stream is — and drives
+// an engine with it: cell writes batch up to batchSize before flushing
+// through apply, and each '+' record flushes the pending batch first (an
+// append sees the writes before it in stream order) and then goes
+// through appendRow.
+func replay(r io.Reader, schema *fastofd.Schema, batchSize int, apply func([]fastofd.CellUpdate) error, appendRow func([]string) error) error {
+	if batchSize < 1 {
+		batchSize = 1
+	}
+	cr := csv.NewReader(bufio.NewReaderSize(r, 1<<16))
+	cr.FieldsPerRecord = -1 // cell writes and appends have different widths
+	cr.Comment = '#'
+	batch := make([]fastofd.CellUpdate, 0, batchSize)
 	flush := func() error {
 		if len(batch) == 0 {
 			return nil
 		}
-		res, err := p.ApplyBatch(ctx, batch)
-		if err == nil {
-			record(res)
-		}
+		err := apply(batch)
 		batch = batch[:0]
 		return err
 	}
 	line := 0
 	for {
-		rec, err := r.Read()
+		rec, err := cr.Read()
 		if err == io.EOF {
-			break
+			return flush()
 		}
 		if err != nil {
-			return p.Report(), err
+			return err
 		}
 		line++
 		if len(rec) > 0 && rec[0] == "+" {
-			// Appends see the batched writes before them in stream order.
 			if err := flush(); err != nil {
-				return p.Report(), err
+				return err
 			}
-			res, err := p.AppendRows([][]string{rec[1:]})
-			if err != nil {
-				return p.Report(), fmt.Errorf("updates record %d: %w", line, err)
+			if err := appendRow(rec[1:]); err != nil {
+				return fmt.Errorf("updates record %d: %w", line, err)
 			}
-			record(res)
 			continue
 		}
 		if len(rec) != 3 {
-			return p.Report(), fmt.Errorf("updates record %d: want row,attr,value or +,v1,...,vk; got %d fields", line, len(rec))
+			return fmt.Errorf("updates record %d: want row,attr,value or +,v1,...,vk; got %d fields", line, len(rec))
 		}
 		row, err := strconv.Atoi(rec[0])
 		if err != nil {
-			return p.Report(), fmt.Errorf("updates record %d: bad row id %q", line, rec[0])
+			return fmt.Errorf("updates record %d: bad row id %q", line, rec[0])
 		}
 		col, ok := schema.Index(rec[1])
 		if !ok {
-			return p.Report(), fmt.Errorf("updates record %d: unknown attribute %q", line, rec[1])
+			return fmt.Errorf("updates record %d: unknown attribute %q", line, rec[1])
 		}
 		batch = append(batch, fastofd.CellUpdate{Row: row, Col: col, Value: rec[2]})
 		if len(batch) == batchSize {
 			if err := flush(); err != nil {
-				return p.Report(), err
+				return err
 			}
 		}
 	}
-	if err := flush(); err != nil {
-		return p.Report(), err
-	}
-	return p.Report(), nil
 }
 
 // printDiff writes one batch's cover changes as a single diff line

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -33,13 +34,16 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	m, err := fastofd.NewMonitor(rel, ont, sigma)
+	// One shard and one worker: a toy instance needs no fan-out. Reports
+	// are identical for every shard and worker count.
+	ctx := context.Background()
+	m, err := fastofd.NewMonitor(ctx, rel, ont, sigma, 1, 1, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("initially satisfied: %v\n", m.Satisfied())
 
-	// A stream of updates: prescriptions change, some introduce
+	// A stream of one-cell batches: prescriptions change, some introduce
 	// inconsistencies, later updates fix them.
 	med := schema.MustIndex("MED")
 	ctry := schema.MustIndex("CTRY")
@@ -55,7 +59,7 @@ func main() {
 		{4, ctry, "India", "country name normalized"},
 	}
 	for _, u := range updates {
-		if _, err := m.Update(u.row, u.col, u.val); err != nil {
+		if err := m.ApplyBatch(ctx, []fastofd.CellUpdate{{Row: u.row, Col: u.col, Value: u.val}}); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("t%d[%s] := %-12q  %-45s violations: %d\n",
@@ -76,7 +80,7 @@ func main() {
 		{Row: 2, Col: med, Value: "cartia"},  // normalize the synonym
 		{Row: 3, Col: med, Value: "tylenol"}, // no-op: already tylenol
 	}
-	if err := m.ApplyBatch(batch); err != nil {
+	if err := m.ApplyBatch(ctx, batch); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("applied a 3-update batch               violations: %d\n", m.ViolationCount())

@@ -232,38 +232,23 @@ func DetectContext(ctx context.Context, rel *Relation, ont *Ontology, sigma Set,
 	return core.DetectContext(ctx, rel, ont, sigma, workers, stats)
 }
 
-// NewMonitor builds an incremental satisfaction monitor over the instance:
-// consequent-cell updates re-verify only the affected equivalence classes.
-func NewMonitor(rel *Relation, ont *Ontology, sigma Set) (*Monitor, error) {
-	return core.NewMonitor(rel, ont, sigma)
-}
-
-// NewMonitorContext is NewMonitor with cooperative cancellation of the
-// initial index build; a cancelled build returns nil plus the wrapped
-// context error.
-func NewMonitorContext(ctx context.Context, rel *Relation, ont *Ontology, sigma Set) (*Monitor, error) {
-	return core.NewMonitorContext(ctx, rel, ont, sigma)
-}
-
-// NewMonitorWorkers is NewMonitorContext with the index build — and the
-// monitor's subsequent ApplyBatch fan-out — spread over up to workers
-// goroutines (0 = all CPUs) and optional per-stage stats
-// ("monitor.build", "monitor.route", "monitor.apply", "monitor.merge"
-// spans). The LHS-key shard count is derived from the worker count; the
-// violation state is identical for every worker count.
-func NewMonitorWorkers(ctx context.Context, rel *Relation, ont *Ontology, sigma Set, workers int, stats *Stats) (*Monitor, error) {
-	return core.NewMonitorWorkers(ctx, rel, ont, sigma, workers, stats)
-}
-
-// NewMonitorSharded is NewMonitorWorkers with an explicit LHS-key shard
-// count: every equivalence class is routed to one of `shards` independent
-// shards (0 derives the count from workers), so ApplyBatch fans appends,
-// multiset maintenance, and re-verification out shard-locally with no
-// shared write state, and Report reads epoch-stamped snapshots
-// concurrently with ingestion. Reports are byte-identical for every shard
-// and worker count.
-func NewMonitorSharded(ctx context.Context, rel *Relation, ont *Ontology, sigma Set, shards, workers int, stats *Stats) (*Monitor, error) {
-	return core.NewMonitorSharded(ctx, rel, ont, sigma, shards, workers, stats)
+// NewMonitor builds an incremental violation monitor over the instance
+// on a private partition cache: ApplyBatch re-verifies only the
+// equivalence classes a batch of consequent-cell updates touches, and
+// AppendRow only the class a new tuple joins. Every class is routed to one
+// of `shards` LHS-key shards (0 derives the count from workers), so a
+// batch fans out shard-locally over up to workers goroutines (0 = all
+// CPUs), and Report reads epoch-stamped snapshots concurrently with
+// ingestion. stats, when non-nil, receives "monitor.build",
+// "monitor.route", "monitor.apply", and "monitor.merge" spans. Reports
+// are byte-identical to Detect for every shard and worker count. A
+// cancelled build returns nil plus the wrapped context error.
+func NewMonitor(ctx context.Context, rel *Relation, ont *Ontology, sigma Set, shards, workers int, stats *Stats) (*Monitor, error) {
+	pc, err := relation.NewPartitionCacheContext(ctx, rel, workers)
+	if err != nil {
+		return nil, err
+	}
+	return core.NewMonitor(ctx, core.NewVerifier(rel, ont, pc), sigma, shards, workers, stats)
 }
 
 // DefaultDiscoveryOptions returns the paper's full FastOFD configuration

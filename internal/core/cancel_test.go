@@ -48,7 +48,7 @@ func TestNewMonitorContextCancelled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	m, err := NewMonitorContext(ctx, rel, ont, sigma)
+	m, err := NewMonitor(ctx, NewVerifier(rel, ont, nil), sigma, 0, 1, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
@@ -59,7 +59,7 @@ func TestNewMonitorContextCancelled(t *testing.T) {
 
 // cancelOnPoll is a context that cancels itself on its nth Err() poll
 // (mirroring the discovery package's countdown-context pattern).
-// ApplyBatchContext polls once between writing the cells and fanning out
+// ApplyBatch polls once between writing the cells and fanning out
 // the re-verification, so n = 1 deterministically cuts a batch after its
 // writes are applied — exactly the window the rollback must cover.
 type cancelOnPoll struct {
@@ -101,7 +101,7 @@ func monitorBatchFixture(t *testing.T, shards int) (m *Monitor, batch []CellUpda
 		MustParse(schema, "CC -> CTRY"),
 		MustParse(schema, "SYMP, DIAG -> MED"),
 	}
-	m, err := NewMonitorSharded(context.Background(), rel, ont, sigma, shards, 1, nil)
+	m, err := NewMonitor(context.Background(), NewVerifier(rel, ont, nil), sigma, shards, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestApplyBatchPreCancelled(t *testing.T) {
 	m, batch, cellsBefore, reportBefore := monitorBatchFixture(t, 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := m.ApplyBatchContext(ctx, batch); !errors.Is(err, context.Canceled) {
+	if err := m.ApplyBatch(ctx, batch); !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
 	assertBatchRolledBack(t, m, batch, cellsBefore, reportBefore)
@@ -161,7 +161,7 @@ func TestApplyBatchCancelledAfterWrites(t *testing.T) {
 			m.Workers = workers
 			// First Err() poll fires after the cell writes, before the shard
 			// fan-out applies any multiset delta.
-			err := m.ApplyBatchContext(newCancelOnPoll(1), batch)
+			err := m.ApplyBatch(newCancelOnPoll(1), batch)
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("shards=%d workers=%d: want context.Canceled, got %v", shards, workers, err)
 			}
@@ -178,7 +178,7 @@ func TestApplyBatchCancelledAfterWrites(t *testing.T) {
 			}
 			// The rolled-back monitor stays fully usable: the same batch
 			// applies cleanly afterwards.
-			if err := m.ApplyBatch(batch); err != nil {
+			if err := m.ApplyBatch(context.Background(), batch); err != nil {
 				t.Fatal(err)
 			}
 			if m.Satisfied() {

@@ -1,18 +1,19 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/fastofd/fastofd/internal/exec"
 	"github.com/fastofd/fastofd/internal/live"
-	"github.com/fastofd/fastofd/internal/ontology"
 	"github.com/fastofd/fastofd/internal/relation"
 )
 
 // Monitor is the incremental detection engine: it maintains OFD violation
-// state under single-cell updates, batched updates, and appended tuples —
+// state under batched cell updates and appended tuples —
 // the "data evolves" scenario of the paper's introduction — without ever
 // rebuilding partitions or re-verifying untouched classes.
 //
@@ -20,18 +21,20 @@ import (
 // class (and lone row) is routed to one of NumShards() independent shards,
 // each owning its own relation.PartitionOverlay view of the cached base
 // partition, LHS-key index, consequent-value multisets, and violation
-// maps. ApplyBatch partitions the validated cell writes by (OFD, shard)
-// and fans the multiset maintenance and re-verification out over
-// exec.For with no shared write state — the three stages are observable
-// as monitor.route / monitor.apply / monitor.merge spans. Because a
-// tuple's antecedent never changes (antecedent updates are rejected), its
-// shard per OFD is fixed for its lifetime and routing is a table lookup.
+// maps. One batch engine (absorb) partitions a batch's cell writes by
+// (OFD, shard) and fans the multiset maintenance and re-verification out
+// over exec.For with no shared write state — the three stages are
+// observable as monitor.route / monitor.apply / monitor.merge spans.
+// ApplyBatch (standalone writes) and AbsorbBatch (writes another engine
+// applied) both run it. Because ApplyBatch rejects antecedent updates, a
+// tuple's shard per OFD is fixed between re-routes and routing is a table
+// lookup.
 //
 // Violation state is published as epoch-stamped immutable snapshots:
 // every mutating operation materializes the affected classes' Violation
 // records eagerly and swaps in a fresh snapshot, so Report (and
 // ReportAt) read only frozen data and may run concurrently with a
-// subsequent Update/AppendRow/ApplyBatch on the owner goroutine. The
+// subsequent AppendRow/ApplyBatch on the owner goroutine. The
 // cross-shard merge is canonical — for any shard count and any Workers
 // value, Report is byte-identical to running Detect from scratch on the
 // current instance.
@@ -62,7 +65,7 @@ type Monitor struct {
 	// singleton class.
 	classOf [][]int32
 	// rowShard[i][t] = shard owning tuple t's antecedent key under
-	// sigma[i]. Fixed for the tuple's lifetime (antecedents never change).
+	// sigma[i]. Fixed until sigma[i] is re-routed.
 	rowShard [][]uint8
 	lhsAttrs relation.AttrSet
 
@@ -74,29 +77,49 @@ type Monitor struct {
 	// them (no other operation consults the indexes).
 	needHydrate bool
 
-	keyBuf    []byte           // LHS-key encoding scratch (AppendRow)
-	vals      []relation.Value // distinct-value scratch for sequential paths
-	snapDirty []bool           // per-shard "snapshot stale" scratch
-	pending   map[int64]int    // batch cell→write dedup scratch
-	writes    []CellWrite      // batch effective-write scratch
-
-	// relaxed, set by NewMonitorLive, skips the global LHS∩RHS
-	// disjointness requirement across dependencies (a discovered cover
-	// routinely chains A→B, B→C). Per-update validation is unchanged:
-	// updates touching any monitored antecedent are still rejected — the
-	// merged pipeline routes those through AbsorbBatch, which re-routes
-	// the affected dependencies instead.
-	relaxed bool
+	keyBuf    []byte      // LHS-key encoding scratch (AppendRow)
+	snapDirty []bool      // per-shard "snapshot stale" scratch
+	writes    []CellWrite // ApplyBatch effective-write scratch
 }
 
 // CellWrite is one deduplicated effective cell write of a batch, with the
 // pre-batch value retained for rollback. Both incremental engines speak
-// it: the monitor's batch protocol produces them, and the maintainer
-// exposes its effective batch as []CellWrite so the merged pipeline can
+// it: both build their batch's write log with EffectiveWrites, and the
+// maintainer exposes its log as []CellWrite so the merged pipeline can
 // feed one engine's writes to the other without re-validating.
 type CellWrite struct {
 	Row, Col int
 	Old, New relation.Value
+}
+
+// EffectiveWrites reduces a batch of updates to its write log: one
+// last-write-wins CellWrite per cell, Old holding the cell's current
+// value, with writes of a cell's current value dropped, sorted by
+// (row, col). Values are interned in batch order; no cell is written.
+// Every update must be in range (callers validate first). buf's storage
+// is reused.
+func EffectiveWrites(rel *relation.Relation, updates []CellUpdate, buf []CellWrite) []CellWrite {
+	buf = buf[:0]
+	for _, u := range updates {
+		buf = append(buf, CellWrite{Row: u.Row, Col: u.Col, Old: rel.Value(u.Row, u.Col), New: rel.Dict(u.Col).Intern(u.Value)})
+	}
+	// Stable, so same-cell writes keep batch order and the last one wins.
+	slices.SortStableFunc(buf, func(a, b CellWrite) int {
+		if a.Row != b.Row {
+			return cmp.Compare(a.Row, b.Row)
+		}
+		return cmp.Compare(a.Col, b.Col)
+	})
+	out := buf[:0]
+	for k, wr := range buf {
+		if k+1 < len(buf) && buf[k+1].Row == wr.Row && buf[k+1].Col == wr.Col {
+			continue
+		}
+		if wr.New != wr.Old {
+			out = append(out, wr)
+		}
+	}
+	return out
 }
 
 // CellUpdate is one cell write of a batched update: set cell (Row, Col) to
@@ -138,52 +161,30 @@ func resolveShards(shards, workers int) int {
 	return s
 }
 
-// NewMonitor builds a single-shard monitor over the instance and Σ,
-// computing the initial violation state.
-func NewMonitor(rel *relation.Relation, ont *ontology.Ontology, sigma Set) (*Monitor, error) {
-	return NewMonitorContext(context.Background(), rel, ont, sigma)
-}
-
-// NewMonitorContext is NewMonitor with cooperative cancellation: the index
-// build stops between dependencies. A cancelled build returns a nil
-// Monitor — a partially indexed monitor would report wrong violation
-// counts — together with an error satisfying errors.Is(err, ctx.Err()).
-func NewMonitorContext(ctx context.Context, rel *relation.Relation, ont *ontology.Ontology, sigma Set) (*Monitor, error) {
-	return NewMonitorWorkers(ctx, rel, ont, sigma, 1, nil)
-}
-
-// NewMonitorWorkers is NewMonitorContext with the index build and
-// ApplyBatch fan-out spread over up to workers goroutines (0 = all CPUs)
-// and optional per-stage stats. The shard count is derived from the
-// worker count (see NewMonitorSharded for explicit control); the
-// violation state is identical for every worker and shard count.
-func NewMonitorWorkers(ctx context.Context, rel *relation.Relation, ont *ontology.Ontology, sigma Set, workers int, stats *exec.Stats) (*Monitor, error) {
-	return NewMonitorSharded(ctx, rel, ont, sigma, 0, workers, stats)
-}
-
-// NewMonitorSharded is NewMonitorWorkers with an explicit shard count:
-// shards > 0 uses that many LHS-key shards (clamped to 256), shards == 0
-// derives the count from the worker count. More shards widen ApplyBatch's
-// parallel fan-out; every shard count yields byte-identical reports.
-func NewMonitorSharded(ctx context.Context, rel *relation.Relation, ont *ontology.Ontology, sigma Set, shards, workers int, stats *exec.Stats) (*Monitor, error) {
-	return newMonitorBuild(ctx, rel, ont, sigma, shards, workers, stats, nil, false)
-}
-
-// newMonitorBuild is the shared constructor body. v, when non-nil, is an
-// existing partition-cache-backed verifier to share (the merged pipeline
-// runs maintainer, monitor, and repair verification off one verifier and
-// one cache); nil builds a private cache. relaxed skips the global LHS∩RHS
-// disjointness check — only the pipeline sets it, because a discovered
-// cover routinely chains dependencies (A→B, B→C), which standalone
-// monitoring rejects so single-cell Update stays sound.
-func newMonitorBuild(ctx context.Context, rel *relation.Relation, ont *ontology.Ontology, sigma Set, shards, workers int, stats *exec.Stats, v *Verifier, relaxed bool) (*Monitor, error) {
-	var lhs, rhs relation.AttrSet
+// NewMonitor builds a monitor over v's relation and Σ and computes the
+// initial violation state. v is the partition-cache-backed verifier the
+// monitor reads its base partitions from: a private one for standalone
+// monitoring, or the merged pipeline's verifier shared with the
+// maintainer and the repair search. Whoever writes v's relation evicts
+// the attribute sets it touched from v's cache (ApplyBatch does so for
+// its own writes).
+//
+// shards > 0 uses that many LHS-key shards (clamped to 256), 0 derives
+// the count from the worker count; workers bounds the index build and
+// ApplyBatch's fan-out (0 = all CPUs); stats, when non-nil, receives
+// monitor.build, monitor.route, monitor.apply, and monitor.merge spans.
+// The violation state is identical for every shard and worker count.
+//
+// Σ may chain dependencies (A→B, B→C): updates touching any monitored
+// antecedent are rejected, so a standalone batch never changes a class
+// structure. A cancelled build stops between dependencies and returns a
+// nil Monitor — a partially indexed monitor would report wrong violation
+// counts — with an error satisfying errors.Is(err, ctx.Err()).
+func NewMonitor(ctx context.Context, v *Verifier, sigma Set, shards, workers int, stats *exec.Stats) (*Monitor, error) {
+	rel := v.Relation()
+	var lhs relation.AttrSet
 	for _, d := range sigma {
 		lhs = lhs.Union(d.LHS)
-		rhs = rhs.With(d.RHS)
-	}
-	if inter := lhs.Intersect(rhs); !inter.IsEmpty() && !relaxed {
-		return nil, fmt.Errorf("core: monitor requires disjoint antecedents and consequents; %s overlaps", inter.Format(rel.Schema()))
 	}
 	w := exec.Workers(workers)
 	nShards := resolveShards(shards, workers)
@@ -192,18 +193,10 @@ func newMonitorBuild(ctx context.Context, rel *relation.Relation, ont *ontology.
 	span.Shards(nShards)
 	span.Items(len(sigma))
 	defer span.End()
-	if v == nil {
-		pc, err := relation.NewPartitionCacheContext(ctx, rel, w)
-		if err != nil {
-			return nil, err
-		}
-		v = NewVerifier(rel, ont, pc)
-	}
 	m := &Monitor{
 		rel:       rel,
 		v:         v,
 		sigma:     sigma.Clone(),
-		relaxed:   relaxed,
 		Workers:   workers,
 		Stats:     stats,
 		nShards:   nShards,
@@ -251,38 +244,6 @@ func (m *Monitor) checkUpdate(row, col int) error {
 		return fmt.Errorf("core: attribute %s is an antecedent; monitored updates must touch consequents only", m.rel.Schema().Name(col))
 	}
 	return nil
-}
-
-// Update writes value into cell (row, col) and incrementally re-verifies
-// the equivalence classes containing the row for every OFD whose
-// consequent is col. Writing the value the cell already holds is a no-op:
-// it reports changed = false and skips re-verification entirely. Updating
-// an antecedent attribute is an error.
-func (m *Monitor) Update(row, col int, value string) (changed bool, err error) {
-	if err := m.checkUpdate(row, col); err != nil {
-		return false, err
-	}
-	id := m.rel.Dict(col).Intern(value)
-	old := m.rel.Value(row, col)
-	if id == old {
-		return false, nil
-	}
-	m.rel.SetValue(row, col, id)
-	for _, i := range m.byRHS[col] {
-		ci := m.classOf[i][row]
-		if ci < 0 {
-			continue
-		}
-		s := m.rowShard[i][row]
-		sh := m.shards[s]
-		sh.idx[i].BumpVal(ci, old, id)
-		if sh.reverifyOne(m, int(i), ci) {
-			m.snapDirty[s] = true
-		}
-	}
-	m.refreshSnaps()
-	m.publish()
-	return true, nil
 }
 
 // AppendRow appends one tuple (strings in schema order) to the monitored
@@ -334,19 +295,10 @@ func (m *Monitor) absorbRow(t int32) {
 }
 
 // ApplyBatch applies a batch of cell updates and re-verifies every
-// affected equivalence class exactly once. See ApplyBatchContext.
-func (m *Monitor) ApplyBatch(updates []CellUpdate) error {
-	return m.ApplyBatchContext(context.Background(), updates)
-}
-
-// ApplyBatchContext applies the updates in three stages. Route
-// (sequential) validates every update before any write, dedups same-cell
-// writes to their last value, applies the effective writes, and assigns
-// each dirtied (OFD, class) pair to its owning shard. Apply (parallel
-// over shards, up to m.Workers goroutines) replays the multiset deltas
-// and re-verifies each shard's dirty classes with no shared write state,
-// staging materialized violation records. Merge commits the staged state,
-// rebuilds the changed shards' snapshots, and publishes a new epoch. The
+// affected equivalence class exactly once. It validates every update
+// before any write, reduces the batch to its effective writes
+// (EffectiveWrites), writes the cells, evicts the written attribute sets
+// from the partition cache, and folds the writes in through absorb. The
 // result is byte-identical for every worker and shard count.
 //
 // The batch is atomic: a cancelled apply stage rolls the cell writes and
@@ -354,44 +306,81 @@ func (m *Monitor) ApplyBatch(updates []CellUpdate) error {
 // snapshot — exactly as before the call, returning an error satisfying
 // errors.Is(err, ctx.Err()). Updates that rewrite a cell's current value
 // are skipped and dirty no classes.
-func (m *Monitor) ApplyBatchContext(ctx context.Context, updates []CellUpdate) error {
+func (m *Monitor) ApplyBatch(ctx context.Context, updates []CellUpdate) error {
 	for _, u := range updates {
 		if err := m.checkUpdate(u.Row, u.Col); err != nil {
 			return err
 		}
 	}
-	routeSpan := m.Stats.Span("monitor.route")
-	routeSpan.Items(len(updates))
-	// Last-write-wins cell dedup: one effective write per cell, keyed by
-	// (row, col), keeping the pre-batch value for rollback.
-	if m.pending == nil {
-		m.pending = make(map[int64]int, len(updates))
+	m.writes = EffectiveWrites(m.rel, updates, m.writes)
+	if len(m.writes) == 0 {
+		return nil
 	}
-	clear(m.pending)
-	m.writes = m.writes[:0]
-	for _, u := range updates {
-		id := m.rel.Dict(u.Col).Intern(u.Value)
-		key := int64(u.Row)<<32 | int64(u.Col)
-		if k, ok := m.pending[key]; ok {
-			m.writes[k].New = id
-			continue
-		}
-		m.pending[key] = len(m.writes)
-		m.writes = append(m.writes, CellWrite{u.Row, u.Col, m.rel.Value(u.Row, u.Col), id})
-	}
-	// Apply the effective writes and route their multiset deltas and dirty
-	// classes to the owning shards.
-	eff := 0
+	var touched relation.AttrSet
 	for _, wr := range m.writes {
-		if wr.New == wr.Old {
-			continue
-		}
-		m.writes[eff] = wr
-		eff++
 		m.rel.SetValue(wr.Row, wr.Col, wr.New)
+		touched = touched.With(wr.Col)
+	}
+	m.v.Partitions().InvalidateTouched(touched)
+	if err := m.absorb(ctx, m.writes); err != nil {
+		// Interned strings stay in the dictionaries and memoized names
+		// tables, which is harmless — both are monotone.
+		for _, wr := range m.writes {
+			m.rel.SetValue(wr.Row, wr.Col, wr.Old)
+		}
+		return err
+	}
+	return nil
+}
+
+// AbsorbBatch folds a batch of cell writes another engine already
+// validated, applied, and evicted from the shared partition cache (the
+// merged pipeline's maintainer) into the monitor's live state and
+// publishes one epoch. Writes carry the pre-batch values; antecedent
+// writes are allowed here and re-route their dependencies. It cannot fail
+// and is not cancellable — the pipeline's atomicity boundary is the
+// maintainer's verify, before this call.
+func (m *Monitor) AbsorbBatch(writes []CellWrite) {
+	_ = m.absorb(context.Background(), writes)
+}
+
+// absorb is the monitor's one batch engine, over writes already applied
+// to the relation (no-op-free, one per cell). Route (sequential) assigns
+// each consequent delta and dirtied (OFD, class) pair to its owning
+// shard. Apply (parallel over shards, up to m.Workers goroutines) replays
+// the multiset deltas and re-verifies each shard's dirty classes with no
+// shared write state, staging materialized violation records. Merge
+// commits the staged state and rebuilds the changed shards' snapshots,
+// and one epoch is published. Dependencies whose antecedent was written
+// lost their class structure; they take no deltas and are re-routed
+// wholesale between apply and merge.
+//
+// Cancellation lands only up to the apply stage: a cancelled ctx reverses
+// any applied multiset deltas, leaves the violation state untouched, and
+// returns an error satisfying errors.Is(err, ctx.Err()); the caller
+// restores the cells. Re-routing is not undoable, so it runs after apply.
+func (m *Monitor) absorb(ctx context.Context, writes []CellWrite) error {
+	if len(writes) == 0 {
+		return nil
+	}
+	routeSpan := m.Stats.Span("monitor.route")
+	routeSpan.Items(len(writes))
+	var touched relation.AttrSet
+	for _, wr := range writes {
+		touched = touched.With(wr.Col)
+	}
+	var reroute []int
+	rerouted := make([]bool, len(m.sigma))
+	for i, d := range m.sigma {
+		if !d.LHS.Intersect(touched).IsEmpty() {
+			rerouted[i] = true
+			reroute = append(reroute, i)
+		}
+	}
+	for _, wr := range writes {
 		for _, i := range m.byRHS[wr.Col] {
 			ci := m.classOf[i][wr.Row]
-			if ci < 0 {
+			if rerouted[i] || ci < 0 {
 				continue
 			}
 			sh := m.shards[m.rowShard[i][wr.Row]]
@@ -399,7 +388,6 @@ func (m *Monitor) ApplyBatchContext(ctx context.Context, updates []CellUpdate) e
 			sh.dirty = append(sh.dirty, int64(i)<<32|int64(uint32(ci)))
 		}
 	}
-	m.writes = m.writes[:eff]
 	var active []int
 	for s, sh := range m.shards {
 		if len(sh.bumps) > 0 || len(sh.dirty) > 0 {
@@ -407,66 +395,65 @@ func (m *Monitor) ApplyBatchContext(ctx context.Context, updates []CellUpdate) e
 		}
 	}
 	routeSpan.End()
-	if eff == 0 {
-		return nil
-	}
-	rollback := func() {
-		// Multiset deltas were staged per shard, not yet applied (or have
-		// been reversed shard-locally); only the cell writes need undoing.
-		// Interned strings stay in the dictionaries and memoized names
-		// tables, which is harmless — both are monotone.
-		for k := len(m.writes) - 1; k >= 0; k-- {
-			wr := m.writes[k]
-			m.rel.SetValue(wr.Row, wr.Col, wr.Old)
-		}
+	// The one cancellation point between the route and the shard fan-out:
+	// a context cancelled here (or before the call) leaves no multiset
+	// applied anywhere.
+	if err := exec.Interrupted(ctx, "monitor.apply"); err != nil {
 		for _, s := range active {
 			m.shards[s].clearBatch()
 		}
-	}
-	// The one cancellation point between the cell writes and the shard
-	// fan-out: a context cancelled here (or before the call) rolls back
-	// with no multiset applied anywhere.
-	if err := exec.Interrupted(ctx, "monitor.apply"); err != nil {
-		rollback()
 		return err
-	}
-	if len(active) == 0 {
-		// Writes landed only on singleton classes: nothing to re-verify,
-		// but the instance changed, so publish a fresh epoch.
-		m.publish()
-		return nil
 	}
 
 	w := exec.Workers(m.Workers)
-	applySpan := m.Stats.Span("monitor.apply")
-	applySpan.Workers(w)
-	applySpan.Shards(len(active))
-	applied := make([]bool, len(active))
-	err := exec.For(ctx, len(active), w, func(_, k int) {
-		sh := m.shards[active[k]]
-		sh.applyBatch(m)
-		applySpan.Items(len(sh.dirty))
-		applied[k] = true
-	})
-	applySpan.End()
-	if err != nil {
-		// Shards whose task ran to completion reverse their multiset
-		// deltas (exec.For finishes started items, and its WaitGroup
-		// ordering makes applied[k] safe to read here); the rest never
-		// applied anything.
-		for k, s := range active {
-			if applied[k] {
-				m.shards[s].rollbackBatch()
-			} else {
-				m.shards[s].clearBatch()
+	if len(active) > 0 {
+		applySpan := m.Stats.Span("monitor.apply")
+		applySpan.Workers(w)
+		applySpan.Shards(len(active))
+		applied := make([]bool, len(active))
+		err := exec.For(ctx, len(active), w, func(_, k int) {
+			sh := m.shards[active[k]]
+			sh.applyBatch(m)
+			applySpan.Items(len(sh.dirty))
+			applied[k] = true
+		})
+		applySpan.End()
+		if err != nil {
+			// Shards whose task ran to completion reverse their multiset
+			// deltas (exec.For finishes started items, and its WaitGroup
+			// ordering makes applied[k] safe to read here); the rest never
+			// applied anything.
+			for k, s := range active {
+				if applied[k] {
+					m.shards[s].rollbackBatch()
+				} else {
+					m.shards[s].clearBatch()
+				}
 			}
+			return err
 		}
-		rollback()
-		return err
 	}
 
-	// Commit is not cancellable: every staged state lands, per shard in
-	// parallel, then one snapshot publish makes the epoch visible.
+	// Nothing below is cancellable. Re-routing rebuilds the written-
+	// antecedent dependencies' whole shard state over the current
+	// partitions (the writer evicted the stale ones).
+	if len(reroute) > 0 {
+		rerouteSpan := m.Stats.Span("monitor.route")
+		rerouteSpan.Workers(w)
+		rerouteSpan.Items(len(reroute))
+		_ = exec.For(context.Background(), len(reroute), w, func(_, k int) {
+			m.routeIndex(reroute[k])
+		})
+		_ = exec.For(context.Background(), m.nShards, w, func(_, s int) {
+			for _, i := range reroute {
+				m.shards[s].buildStateOFD(m, i)
+			}
+			m.shards[s].rebuildSnap()
+		})
+		rerouteSpan.End()
+	}
+	// Merge: every staged state lands, per shard in parallel, then one
+	// snapshot publish makes the epoch visible.
 	mergeSpan := m.Stats.Span("monitor.merge")
 	mergeSpan.Workers(w)
 	mergeSpan.Shards(len(active))

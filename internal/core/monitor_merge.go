@@ -57,7 +57,7 @@ func (sh *monitorShard) rebuildSnap() {
 }
 
 // refreshSnaps rebuilds the snapshots of shards the current operation
-// marked stale (sequential paths; batch commit rebuilds inside the
+// marked stale (the append path; batch commit rebuilds inside the
 // parallel merge stage).
 func (m *Monitor) refreshSnaps() {
 	for s, dirty := range m.snapDirty {

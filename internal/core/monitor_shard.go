@@ -147,8 +147,8 @@ func (sh *monitorShard) commitClass(i int, ci int32, state uint8, v *Violation, 
 	return wasViol || wasFD || state != classOK
 }
 
-// reverifyOne re-verifies one class on the sequential Update/AppendRow
-// path and commits the outcome, reporting whether the violation maps
+// reverifyOne re-verifies one class on the sequential append path and
+// commits the outcome, reporting whether the violation maps
 // changed.
 func (sh *monitorShard) reverifyOne(m *Monitor, i int, ci int32) bool {
 	st := sh.classState(m, i, int(ci))

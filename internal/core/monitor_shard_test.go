@@ -85,7 +85,7 @@ func TestMonitorSingletonPromotedAcrossShards(t *testing.T) {
 				MustParse(schema, "CC -> CTRY"),
 				MustParse(schema, "SYMP, DIAG -> MED"),
 			}
-			m, err := NewMonitorSharded(context.Background(), rel, ont, sigma, shards, 2, nil)
+			m, err := NewMonitor(context.Background(), NewVerifier(rel, ont, nil), sigma, shards, 2, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -111,7 +111,7 @@ func TestMonitorSingletonPromotedAcrossShards(t *testing.T) {
 			// Update a consequent of the still-singleton row: routed through
 			// the lone-row encoding, re-verifies nothing (ci < 0).
 			before := m.Reverified()
-			if changed, err := m.Update(r1, schema.MustIndex("CTRY"), "Republique Francaise"); err != nil || !changed {
+			if changed, err := update(m, r1, schema.MustIndex("CTRY"), "Republique Francaise"); err != nil || !changed {
 				t.Fatalf("changed=%v err=%v", changed, err)
 			}
 			if m.Reverified() != before {
@@ -139,7 +139,7 @@ func TestMonitorSingletonPromotedAcrossShards(t *testing.T) {
 			// A batch over the promoted classes exercises the sharded batch
 			// path on overlay-born classes.
 			ctry := schema.MustIndex("CTRY")
-			if err := m.ApplyBatch([]CellUpdate{
+			if err := m.ApplyBatch(context.Background(), []CellUpdate{
 				{Row: r1, Col: ctry, Value: "Francia"},
 				{Row: r1 + 2, Col: ctry, Value: "Francia"},
 			}); err != nil {
@@ -161,7 +161,7 @@ func TestMonitorReportAtEpochs(t *testing.T) {
 	rel, ont := table1(t)
 	schema := rel.Schema()
 	sigma := Set{MustParse(schema, "SYMP, DIAG -> MED")}
-	m, err := NewMonitorSharded(context.Background(), rel, ont, sigma, 4, 2, nil)
+	m, err := NewMonitor(context.Background(), NewVerifier(rel, ont, nil), sigma, 4, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,14 +179,14 @@ func TestMonitorReportAtEpochs(t *testing.T) {
 		history[m.Epoch()] = string(rep)
 	}
 	snap()
-	if _, err := m.Update(7, med, "unknown-a"); err != nil {
+	if _, err := update(m, 7, med, "unknown-a"); err != nil {
 		t.Fatal(err)
 	}
 	if m.Epoch() != 1 {
 		t.Fatalf("epoch after update = %d, want 1", m.Epoch())
 	}
 	snap()
-	if err := m.ApplyBatch([]CellUpdate{{Row: 8, Col: med, Value: "unknown-b"}}); err != nil {
+	if err := m.ApplyBatch(context.Background(), []CellUpdate{{Row: 8, Col: med, Value: "unknown-b"}}); err != nil {
 		t.Fatal(err)
 	}
 	snap()
@@ -210,7 +210,7 @@ func TestMonitorReportAtEpochs(t *testing.T) {
 	}
 	// Push the early epochs out of the retention window.
 	for i := 0; i < epochRetention+2; i++ {
-		if _, err := m.Update(7, med, fmt.Sprintf("churn-%d", i)); err != nil {
+		if _, err := update(m, 7, med, fmt.Sprintf("churn-%d", i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -249,7 +249,7 @@ func TestMonitorConcurrentReport(t *testing.T) {
 		MustParse(schema, "P -> Y"),
 		MustParse(schema, "P, Q -> Z"),
 	}
-	m, err := NewMonitorSharded(context.Background(), rel, ont, sigma, 8, 0, nil)
+	m, err := NewMonitor(context.Background(), NewVerifier(rel, ont, nil), sigma, 8, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +331,7 @@ func TestMonitorConcurrentReport(t *testing.T) {
 				}
 				batch = append(batch, CellUpdate{Row: rng.Intn(m.NumRows()), Col: col, Value: pool[rng.Intn(len(pool))]})
 			}
-			if err := m.ApplyBatch(batch); err != nil {
+			if err := m.ApplyBatch(context.Background(), batch); err != nil {
 				t.Fatal(err)
 			}
 		}

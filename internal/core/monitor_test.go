@@ -18,7 +18,7 @@ func TestMonitorIncrementalMatchesFull(t *testing.T) {
 		MustParse(schema, "CC -> CTRY"),
 		MustParse(schema, "SYMP, DIAG -> MED"),
 	}
-	m, err := NewMonitor(rel, ont, sigma)
+	m, err := NewMonitor(context.Background(), NewVerifier(rel, ont, nil), sigma, 0, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestMonitorIncrementalMatchesFull(t *testing.T) {
 			col = ctryCol
 		}
 		row := rng.Intn(rel.NumRows())
-		if _, err := m.Update(row, col, values[rng.Intn(len(values))]); err != nil {
+		if _, err := update(m, row, col, values[rng.Intn(len(values))]); err != nil {
 			t.Fatal(err)
 		}
 		full := NewVerifier(rel, ont, nil).SatisfiesAll(sigma)
@@ -51,43 +51,123 @@ func TestMonitorIncrementalMatchesFull(t *testing.T) {
 func TestMonitorRejectsAntecedentUpdates(t *testing.T) {
 	rel, ont := table1(t)
 	sigma := Set{MustParse(rel.Schema(), "CC -> CTRY")}
-	m, err := NewMonitor(rel, ont, sigma)
+	m, err := NewMonitor(context.Background(), NewVerifier(rel, ont, nil), sigma, 0, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Update(0, rel.Schema().MustIndex("CC"), "CA"); err == nil {
+	if _, err := update(m, 0, rel.Schema().MustIndex("CC"), "CA"); err == nil {
 		t.Fatal("antecedent update must be rejected")
 	}
-	if _, err := m.Update(999, 0, "x"); err == nil {
+	if _, err := update(m, 999, 0, "x"); err == nil {
 		t.Fatal("out-of-range update must be rejected")
 	}
-	if err := m.ApplyBatch([]CellUpdate{{Row: 0, Col: rel.Schema().MustIndex("CC"), Value: "CA"}}); err == nil {
+	if err := m.ApplyBatch(context.Background(), []CellUpdate{{Row: 0, Col: rel.Schema().MustIndex("CC"), Value: "CA"}}); err == nil {
 		t.Fatal("batched antecedent update must be rejected")
 	}
 }
 
-func TestMonitorRejectsOverlappingSigma(t *testing.T) {
+// TestMonitorChainedSigma: Σ may chain dependencies (CC → CTRY → MED).
+// Construction succeeds, writes to either antecedent are rejected, and
+// under a random consequent-only stream the report tracks a fresh Detect
+// for every shard and worker count.
+func TestMonitorChainedSigma(t *testing.T) {
+	meds := []string{"ibuprofen", "naproxen", "tylenol", "acetaminophen", "cartia", "tiazac", "morphine", "unknown-drug"}
+	for _, shards := range []int{1, 4} {
+		for _, workers := range []int{1, 2} {
+			rel, ont := table1(t)
+			schema := rel.Schema()
+			sigma := Set{
+				MustParse(schema, "CC -> CTRY"),
+				MustParse(schema, "CTRY -> MED"),
+			}
+			m, err := NewMonitor(context.Background(), NewVerifier(rel, ont, nil), sigma, shards, workers, nil)
+			if err != nil {
+				t.Fatalf("shards=%d workers=%d: chained Σ rejected: %v", shards, workers, err)
+			}
+			for _, attr := range []string{"CC", "CTRY"} {
+				if err := m.ApplyBatch(context.Background(), []CellUpdate{{Row: 0, Col: schema.MustIndex(attr), Value: "x"}}); err == nil {
+					t.Fatalf("write to antecedent %s must be rejected", attr)
+				}
+			}
+			med := schema.MustIndex("MED")
+			rng := rand.New(rand.NewSource(int64(7 + shards*10 + workers)))
+			for step := 0; step < 40; step++ {
+				batch := make([]CellUpdate, 1+rng.Intn(6))
+				for k := range batch {
+					batch[k] = CellUpdate{Row: rng.Intn(rel.NumRows()), Col: med, Value: meds[rng.Intn(len(meds))]}
+				}
+				if err := m.ApplyBatch(context.Background(), batch); err != nil {
+					t.Fatal(err)
+				}
+				got, _ := json.Marshal(m.Report())
+				want, _ := json.Marshal(Detect(rel, ont, sigma))
+				if string(got) != string(want) {
+					t.Fatalf("shards=%d workers=%d step %d: report diverged from Detect\n got %s\nwant %s", shards, workers, step, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestMonitorRegisterAfterBatchSeesWrites: a standalone batch evicts the
+// attribute sets it wrote from the monitor's partition cache, so a
+// dependency registered later — whose antecedent is a column the batch
+// wrote — routes over the current partition, not the pre-warmed
+// construction-time one.
+func TestMonitorRegisterAfterBatchSeesWrites(t *testing.T) {
 	rel, ont := table1(t)
-	sigma := Set{
-		MustParse(rel.Schema(), "CC -> CTRY"),
-		MustParse(rel.Schema(), "CTRY -> MED"),
+	schema := rel.Schema()
+	symp2diag := MustParse(schema, "SYMP -> DIAG")
+	m, err := NewMonitor(context.Background(), NewVerifier(rel, ont, nil), Set{symp2diag}, 0, 1, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := NewMonitor(rel, ont, sigma); err == nil {
-		t.Fatal("overlapping Σ must be rejected")
+	if err := m.ApplyBatch(context.Background(), []CellUpdate{{Row: 0, Col: schema.MustIndex("DIAG"), Value: "migrane"}}); err != nil {
+		t.Fatal(err)
 	}
+	if err := m.Unregister(symp2diag); err != nil {
+		t.Fatal(err)
+	}
+	diag2test := MustParse(schema, "DIAG -> TEST")
+	if err := m.Register(diag2test); err != nil {
+		t.Fatal(err)
+	}
+	want := Detect(rel, ont, Set{diag2test})
+	found := false
+	for _, v := range want.Violations {
+		if fmt.Sprint(v.Tuples) == "[0 3 4 5]" {
+			found = true
+		}
+	}
+	if !found {
+		t.Fatalf("Detect must flag class [0 3 4 5]; got %+v", want.Violations)
+	}
+	got, _ := json.Marshal(m.Report())
+	wantJSON, _ := json.Marshal(want)
+	if string(got) != string(wantJSON) {
+		t.Fatalf("report after Register diverged from Detect\n got %s\nwant %s", got, wantJSON)
+	}
+}
+
+// update applies a one-cell batch and reports whether it changed the
+// instance (an effective write publishes an epoch; a no-op does not).
+func update(m *Monitor, row, col int, value string) (bool, error) {
+	before := m.Epoch()
+	err := m.ApplyBatch(context.Background(), []CellUpdate{{Row: row, Col: col, Value: value}})
+	return m.Epoch() != before, err
 }
 
 func TestMonitorViolationBookkeeping(t *testing.T) {
 	rel, ont := table1(t)
 	schema := rel.Schema()
 	sigma := Set{MustParse(schema, "SYMP, DIAG -> MED")}
-	m, err := NewMonitor(rel, ont, sigma)
+	m, err := NewMonitor(context.Background(), NewVerifier(rel, ont, nil), sigma, 0, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	med := schema.MustIndex("MED")
 	// Break the headache/hypertension class.
-	if _, err := m.Update(7, med, "unknown-drug"); err != nil {
+	if _, err := update(m, 7, med, "unknown-drug"); err != nil {
 		t.Fatal(err)
 	}
 	if m.Satisfied() || m.ViolationCount() != 1 {
@@ -98,7 +178,7 @@ func TestMonitorViolationBookkeeping(t *testing.T) {
 		t.Fatalf("violating classes = %v", vc)
 	}
 	// Fix it again.
-	if _, err := m.Update(7, med, "cartia"); err != nil {
+	if _, err := update(m, 7, med, "cartia"); err != nil {
 		t.Fatal(err)
 	}
 	if !m.Satisfied() {
@@ -112,13 +192,13 @@ func TestMonitorUpdateNoOp(t *testing.T) {
 	rel, ont := table1(t)
 	schema := rel.Schema()
 	sigma := Set{MustParse(schema, "SYMP, DIAG -> MED")}
-	m, err := NewMonitor(rel, ont, sigma)
+	m, err := NewMonitor(context.Background(), NewVerifier(rel, ont, nil), sigma, 0, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	med := schema.MustIndex("MED")
 	before := m.Reverified()
-	changed, err := m.Update(7, med, rel.String(7, med))
+	changed, err := update(m, 7, med, rel.String(7, med))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,14 +209,14 @@ func TestMonitorUpdateNoOp(t *testing.T) {
 		t.Fatalf("no-op update re-verified %d classes", m.Reverified()-before)
 	}
 	// The batched path must skip no-ops the same way.
-	if err := m.ApplyBatch([]CellUpdate{{Row: 7, Col: med, Value: rel.String(7, med)}}); err != nil {
+	if err := m.ApplyBatch(context.Background(), []CellUpdate{{Row: 7, Col: med, Value: rel.String(7, med)}}); err != nil {
 		t.Fatal(err)
 	}
 	if m.Reverified() != before {
 		t.Fatal("no-op batch must not re-verify")
 	}
 	// A real update does re-verify.
-	if changed, err = m.Update(7, med, "unknown-drug"); err != nil || !changed {
+	if changed, err = update(m, 7, med, "unknown-drug"); err != nil || !changed {
 		t.Fatalf("changed=%v err=%v", changed, err)
 	}
 	if m.Reverified() != before+1 {
@@ -154,7 +234,7 @@ func TestMonitorAppendRow(t *testing.T) {
 		MustParse(schema, "CC -> CTRY"),
 		MustParse(schema, "SYMP, DIAG -> MED"),
 	}
-	m, err := NewMonitor(rel, ont, sigma)
+	m, err := NewMonitor(context.Background(), NewVerifier(rel, ont, nil), sigma, 0, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +303,7 @@ func TestMonitorApplyBatchDedupsAndMatches(t *testing.T) {
 				MustParse(schema, "CC -> CTRY"),
 				MustParse(schema, "SYMP, DIAG -> MED"),
 			}
-			m, err := NewMonitor(rel, ont, sigma)
+			m, err := NewMonitor(context.Background(), NewVerifier(rel, ont, nil), sigma, 0, 1, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -233,7 +313,7 @@ func TestMonitorApplyBatchDedupsAndMatches(t *testing.T) {
 			// Three updates into the same headache/hypertension class (rows
 			// 7, 8, 10 share SYMP=headache? rows 7..10 differ in TEST which
 			// is not in the LHS — SYMP,DIAG identical) → one dirty class.
-			err = m.ApplyBatch([]CellUpdate{
+			err = m.ApplyBatch(context.Background(), []CellUpdate{
 				{Row: 7, Col: med, Value: "unknown-a"},
 				{Row: 8, Col: med, Value: "unknown-b"},
 				{Row: 10, Col: med, Value: "unknown-c"},
@@ -318,7 +398,7 @@ func TestMonitorStreamEquivalence(t *testing.T) {
 			MustParse(schema, "P -> Y"),
 			MustParse(schema, "P, Q -> Z"),
 		}
-		m, err := NewMonitorSharded(context.Background(), rel, ont, sigma, c.shards, c.workers, nil)
+		m, err := NewMonitor(context.Background(), NewVerifier(rel, ont, nil), sigma, c.shards, c.workers, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -343,7 +423,7 @@ func TestMonitorStreamEquivalence(t *testing.T) {
 				}
 			case k < 6: // single update
 				u := randUpdate()
-				if _, err := m.Update(u.Row, u.Col, u.Value); err != nil {
+				if _, err := update(m, u.Row, u.Col, u.Value); err != nil {
 					t.Fatal(err)
 				}
 			default: // batch
@@ -351,7 +431,7 @@ func TestMonitorStreamEquivalence(t *testing.T) {
 				for j := 0; j < 4+rng.Intn(9); j++ {
 					batch = append(batch, randUpdate())
 				}
-				if err := m.ApplyBatch(batch); err != nil {
+				if err := m.ApplyBatch(context.Background(), batch); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -390,7 +470,7 @@ func TestVerifierNamesTableExtendsOnIntern(t *testing.T) {
 	rel, ont := table1(t)
 	schema := rel.Schema()
 	sigma := Set{MustParse(schema, "SYMP, DIAG -> MED")}
-	m, err := NewMonitor(rel, ont, sigma)
+	m, err := NewMonitor(context.Background(), NewVerifier(rel, ont, nil), sigma, 0, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,7 +482,7 @@ func TestVerifierNamesTableExtendsOnIntern(t *testing.T) {
 	// "adizem" is new to the MED dictionary; the update's re-verification
 	// probes it once, which must fold it (and any other new ids) into the
 	// table.
-	if _, err := m.Update(7, med, "adizem"); err != nil {
+	if _, err := update(m, 7, med, "adizem"); err != nil {
 		t.Fatal(err)
 	}
 	if rel.Dict(med).Size() != sizeBefore+1 {

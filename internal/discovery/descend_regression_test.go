@@ -1,6 +1,7 @@
 package discovery
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -82,14 +83,14 @@ func TestDescendFrontierRegression(t *testing.T) {
 		var updates []core.CellUpdate
 		for _, op := range ops {
 			if op.appendRow != nil {
-				if _, err := mt.AppendRow(op.appendRow); err != nil {
+				if _, err := mt.AppendRows([][]string{op.appendRow}); err != nil {
 					t.Fatalf("batch %d append: %v", b, err)
 				}
 				continue
 			}
 			updates = append(updates, op.update)
 		}
-		if _, err := mt.ApplyBatch(updates); err != nil {
+		if _, err := mt.ApplyBatch(context.Background(), updates); err != nil {
 			t.Fatalf("batch %d: %v", b, err)
 		}
 	}

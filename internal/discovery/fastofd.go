@@ -78,13 +78,6 @@ type Options struct {
 	// kept coherent by the caller's invalidation protocol (the Pipeline's
 	// ApplyBatch does this). Discover itself ignores this field.
 	Verifier *core.Verifier
-	// RepairCacheBudget bounds the standalone maintainer's persistent
-	// repair partition cache in bytes: 0 selects DefaultRepairCacheBudget
-	// when the maintainer builds its own cache (a caller-supplied Cache
-	// keeps its configured budget), negative disables the bound, positive
-	// values are applied as given. Ignored in pipeline mode, where the
-	// shared cache's budget governs. Discover ignores this field.
-	RepairCacheBudget int64
 }
 
 // Mode selects which ontological relationship candidate dependencies use.

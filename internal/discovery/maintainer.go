@@ -14,10 +14,10 @@ import (
 )
 
 // DefaultRepairCacheBudget is the byte budget a standalone maintainer
-// puts on its persistent repair partition cache when Options leaves
-// RepairCacheBudget zero and supplies no cache of its own. Generous
-// enough that update streams over mid-size instances never evict, small
-// enough that a long-lived maintainer cannot grow without bound.
+// puts on the persistent repair partition cache it builds when Options
+// supplies no cache of its own. Generous enough that update streams over
+// mid-size instances never evict, small enough that a long-lived
+// maintainer cannot grow without bound.
 const DefaultRepairCacheBudget int64 = 256 << 20
 
 // Diff is one batch's change to the maintained minimal cover: the OFDs
@@ -114,10 +114,9 @@ type Maintainer struct {
 	flat  []batchTracker // all trackers, for batch fan-out
 	epoch uint64
 
-	pending map[int64]int // (row,col) → writes index, batch scratch
-	writes  []cellWrite
-	scans   int64 // cumulative full-candidate verifications
-	skips   int64 // cumulative oracle-answered nodes (not persisted)
+	writes []cellWrite
+	scans  int64 // cumulative full-candidate verifications
+	skips  int64 // cumulative oracle-answered nodes (not persisted)
 	// refines counts the subset of scans answered by root refinement —
 	// climb nodes decided from the demoted seed's tracked unsatisfied
 	// classes instead of a partition walk (not persisted).
@@ -227,16 +226,11 @@ func buildFromCover(ctx context.Context, rel *relation.Relation, ont *ontology.O
 		// eviction bounds residency.
 		bpc := opts.Cache
 		if bpc == nil {
-			bpc = relation.NewPartitionCacheParallel(rel, opts.Workers)
-			if opts.RepairCacheBudget == 0 {
-				bpc.SetBudget(DefaultRepairCacheBudget)
+			var err error
+			if bpc, err = relation.NewPartitionCacheContext(ctx, rel, opts.Workers); err != nil {
+				return nil, err
 			}
-		}
-		switch {
-		case opts.RepairCacheBudget > 0:
-			bpc.SetBudget(opts.RepairCacheBudget)
-		case opts.RepairCacheBudget < 0:
-			bpc.SetBudget(0)
+			bpc.SetBudget(DefaultRepairCacheBudget)
 		}
 		reg := live.NewOverlays(rel, bpc)
 		bpc.SetOverlayProvider(reg)
@@ -421,13 +415,7 @@ func (mt *Maintainer) RepairCache() *relation.PartitionCache {
 	return mt.pv.Partitions()
 }
 
-// ApplyBatch applies a batch of cell updates and returns the cover diff.
-// See ApplyBatchContext.
-func (mt *Maintainer) ApplyBatch(updates []core.CellUpdate) (Diff, error) {
-	return mt.ApplyBatchContext(context.Background(), updates)
-}
-
-// ApplyBatchContext applies a batch of cell updates, re-verifies exactly
+// ApplyBatch applies a batch of cell updates, re-verifies exactly
 // the lattice region the batch dirtied, and returns the cover diff. The
 // batch is atomic: a cancelled context rolls the relation and all tracker
 // state back to the pre-batch snapshot and returns an error satisfying
@@ -436,7 +424,7 @@ func (mt *Maintainer) ApplyBatch(updates []core.CellUpdate) (Diff, error) {
 // split to protect. Same-cell writes dedup to the last value; writes of a
 // cell's current value are dropped, and an all-no-op batch returns an
 // empty diff at the current epoch without touching any state.
-func (mt *Maintainer) ApplyBatchContext(ctx context.Context, updates []core.CellUpdate) (Diff, error) {
+func (mt *Maintainer) ApplyBatch(ctx context.Context, updates []core.CellUpdate) (Diff, error) {
 	for _, u := range updates {
 		if u.Row < 0 || u.Row >= mt.rel.NumRows() || u.Col < 0 || u.Col >= mt.rel.NumCols() {
 			return Diff{}, fmt.Errorf("discovery: cell (%d,%d) out of range", u.Row, u.Col)
@@ -449,44 +437,15 @@ func (mt *Maintainer) ApplyBatchContext(ctx context.Context, updates []core.Cell
 	dirtySpan.Items(len(updates))
 	w := exec.Workers(mt.workers)
 	dirtySpan.Workers(w)
-	// Last-write-wins dedup to one effective write per cell, keeping the
-	// pre-batch value for rollback.
-	if mt.pending == nil {
-		mt.pending = make(map[int64]int, len(updates))
-	}
-	clear(mt.pending)
-	mt.writes = mt.writes[:0]
-	for _, u := range updates {
-		id := mt.rel.Dict(u.Col).Intern(u.Value)
-		key := int64(u.Row)<<32 | int64(u.Col)
-		if k, ok := mt.pending[key]; ok {
-			mt.writes[k].New = id
-			continue
-		}
-		mt.pending[key] = len(mt.writes)
-		mt.writes = append(mt.writes, cellWrite{Row: u.Row, Col: u.Col, Old: mt.rel.Value(u.Row, u.Col), New: id})
-	}
-	eff := 0
-	var touched relation.AttrSet
-	for _, wr := range mt.writes {
-		if wr.New == wr.Old {
-			continue
-		}
-		mt.writes[eff] = wr
-		eff++
-		touched = touched.With(wr.Col)
-	}
-	mt.writes = mt.writes[:eff]
-	if eff == 0 {
+	mt.writes = core.EffectiveWrites(mt.rel, updates, mt.writes)
+	if len(mt.writes) == 0 {
 		dirtySpan.End()
 		return Diff{Epoch: mt.epoch}, nil
 	}
-	sort.Slice(mt.writes, func(i, j int) bool {
-		if mt.writes[i].Row != mt.writes[j].Row {
-			return mt.writes[i].Row < mt.writes[j].Row
-		}
-		return mt.writes[i].Col < mt.writes[j].Col
-	})
+	var touched relation.AttrSet
+	for _, wr := range mt.writes {
+		touched = touched.With(wr.Col)
+	}
 	// Move the relation to the target state, then fold the write log into
 	// every tracker the batch can affect. The fan-out is uncancellable —
 	// it is O(touched rows) per tracker and leaving it half-applied would
@@ -572,12 +531,6 @@ func (mt *Maintainer) clearPendings() {
 			wt.clearPending()
 		}
 	}
-}
-
-// AppendRow appends one tuple (strings in schema order) and returns the
-// cover diff. See AppendRows.
-func (mt *Maintainer) AppendRow(row []string) (Diff, error) {
-	return mt.AppendRows([][]string{row})
 }
 
 // AppendRows appends a batch of tuples (strings in schema order) and

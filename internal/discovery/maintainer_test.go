@@ -57,14 +57,14 @@ func randomStream(rng *rand.Rand, rel *relation.Relation, domain, nBatches int) 
 func applyOp(t *testing.T, mt *Maintainer, op streamOp) Diff {
 	t.Helper()
 	var total Diff
-	d, err := mt.ApplyBatch(op.updates)
+	d, err := mt.ApplyBatch(context.Background(), op.updates)
 	if err != nil {
 		t.Fatalf("ApplyBatch: %v", err)
 	}
 	total.Added = append(total.Added, d.Added...)
 	total.Removed = append(total.Removed, d.Removed...)
 	for _, row := range op.appends {
-		d, err := mt.AppendRow(row)
+		d, err := mt.AppendRows([][]string{row})
 		if err != nil {
 			t.Fatalf("AppendRow: %v", err)
 		}
@@ -171,7 +171,7 @@ func TestMaintainerOnGeneratedWorkload(t *testing.T) {
 				Row: rng.Intn(mt.NumRows()), Col: c, Value: pool[c][rng.Intn(len(pool[c]))],
 			})
 		}
-		if _, err := mt.ApplyBatch(ups); err != nil {
+		if _, err := mt.ApplyBatch(context.Background(), ups); err != nil {
 			t.Fatal(err)
 		}
 		got := mt.Cover()
@@ -210,7 +210,7 @@ func TestMaintainerAppendRowsBatchEquivalence(t *testing.T) {
 			t.Fatalf("trial %d: AppendRows: %v", trial, err)
 		}
 		for _, row := range rows {
-			if _, err := single.AppendRow(row); err != nil {
+			if _, err := single.AppendRows([][]string{row}); err != nil {
 				t.Fatalf("trial %d: AppendRow: %v", trial, err)
 			}
 		}
@@ -279,7 +279,7 @@ func TestMaintainerCancellationRollsBack(t *testing.T) {
 			rowsBefore := mt.rel.Rows()
 			cancelled, cancel := context.WithCancel(context.Background())
 			cancel()
-			if _, err := mt.ApplyBatchContext(cancelled, op.updates); err == nil {
+			if _, err := mt.ApplyBatch(cancelled, op.updates); err == nil {
 				t.Fatalf("trial %d batch %d: cancelled batch did not error", trial, b)
 			}
 			if got := mt.Cover(); !reflect.DeepEqual(got, coverBefore) {
@@ -331,7 +331,7 @@ func TestMaintainerInvalidationReopensPrunedSupersets(t *testing.T) {
 	}
 	// Breaking row 1's C value invalidates A->C (class {r0,r1} now maps to
 	// two senses) and B->C; AB->C survives as all-singleton classes.
-	diff, err := mt.ApplyBatch([]core.CellUpdate{{Row: 1, Col: schema.MustIndex("C"), Value: "c2"}})
+	diff, err := mt.ApplyBatch(context.Background(), []core.CellUpdate{{Row: 1, Col: schema.MustIndex("C"), Value: "c2"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +373,7 @@ func TestMaintainerPromotionDescendsToMinimal(t *testing.T) {
 	}
 	// Repairing row 1's C value back to c1 re-validates A->C, strictly
 	// below the border node AB (the maximal invalid set for C).
-	diff, err := mt.ApplyBatch([]core.CellUpdate{{Row: 1, Col: schema.MustIndex("C"), Value: "c1"}})
+	diff, err := mt.ApplyBatch(context.Background(), []core.CellUpdate{{Row: 1, Col: schema.MustIndex("C"), Value: "c1"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,17 +398,17 @@ func TestMaintainerEpochAndEmptyBatches(t *testing.T) {
 	if mt.Epoch() != 0 {
 		t.Fatalf("fresh maintainer epoch = %d", mt.Epoch())
 	}
-	if d, err := mt.ApplyBatch(nil); err != nil || d.Epoch != 0 || !d.Empty() {
+	if d, err := mt.ApplyBatch(context.Background(), nil); err != nil || d.Epoch != 0 || !d.Empty() {
 		t.Fatalf("empty batch: diff %+v err %v", d, err)
 	}
 	cur := rel.Dict(0).String(rel.Value(0, 0))
-	if d, err := mt.ApplyBatch([]core.CellUpdate{{Row: 0, Col: 0, Value: cur}}); err != nil || d.Epoch != 0 {
+	if d, err := mt.ApplyBatch(context.Background(), []core.CellUpdate{{Row: 0, Col: 0, Value: cur}}); err != nil || d.Epoch != 0 {
 		t.Fatalf("no-op rewrite advanced epoch: diff %+v err %v", d, err)
 	}
-	if d, err := mt.ApplyBatch([]core.CellUpdate{{Row: 0, Col: 0, Value: "novel-x"}}); err != nil || d.Epoch != 1 {
+	if d, err := mt.ApplyBatch(context.Background(), []core.CellUpdate{{Row: 0, Col: 0, Value: "novel-x"}}); err != nil || d.Epoch != 1 {
 		t.Fatalf("effective batch epoch: diff %+v err %v", d, err)
 	}
-	if _, err := mt.ApplyBatch([]core.CellUpdate{{Row: -1, Col: 0, Value: "x"}}); err == nil {
+	if _, err := mt.ApplyBatch(context.Background(), []core.CellUpdate{{Row: -1, Col: 0, Value: "x"}}); err == nil {
 		t.Fatal("out-of-range update accepted")
 	}
 }

@@ -93,7 +93,7 @@ func TestMaintainerMidRepairCancellation(t *testing.T) {
 				epochBefore := mt.Epoch()
 				rowsBefore := mt.rel.Rows()
 				before := runtime.NumGoroutine()
-				_, err := mt.ApplyBatchContext(newCancelAfterPolls(polls[b%len(polls)]), op.updates)
+				_, err := mt.ApplyBatch(newCancelAfterPolls(polls[b%len(polls)]), op.updates)
 				if err != nil {
 					if !errors.Is(err, context.Canceled) {
 						t.Fatalf("trial %d batch %d: want context.Canceled, got %v", trial, b, err)

@@ -43,7 +43,7 @@ type Options struct {
 	// returns. Requires Sigma == nil.
 	FollowCover bool
 	// Shards is the monitor's shard count (0 auto-sizes from Workers,
-	// exactly as core.NewMonitorSharded).
+	// exactly as core.NewMonitor).
 	Shards int
 	// Workers parallelizes both engines on the shared exec substrate.
 	Workers int
@@ -117,7 +117,7 @@ func New(ctx context.Context, rel *relation.Relation, ont *ontology.Ontology, op
 	if sigma == nil {
 		sigma = mt.Cover()
 	}
-	m, err := core.NewMonitorLive(ctx, rel, ont, sigma, opts.Shards, opts.Workers, opts.Stats, v)
+	m, err := core.NewMonitor(ctx, v, sigma, opts.Shards, opts.Workers, opts.Stats)
 	if err != nil {
 		return nil, err
 	}
@@ -143,7 +143,8 @@ func New(ctx context.Context, rel *relation.Relation, ont *ontology.Ontology, op
 //
 //  1. The maintainer validates, deduplicates, applies, and repair-verifies
 //     the batch atomically (a cancelled batch rolls everything back and
-//     leaves both engines at the pre-batch state).
+//     leaves both engines at the pre-batch state). As the writer, it also
+//     evicts the written attribute sets from the shared cache.
 //  2. The monitor absorbs the committed effective write log — the same
 //     deduplicated cells, verbatim — and publishes one epoch.
 //  3. With FollowCover, the cover diff registers/unregisters monitored
@@ -154,12 +155,12 @@ func New(ctx context.Context, rel *relation.Relation, ont *ontology.Ontology, op
 // uncancellable.
 func (p *Pipeline) ApplyBatch(ctx context.Context, updates []core.CellUpdate) (BatchResult, error) {
 	start := time.Now()
-	diff, err := p.mt.ApplyBatchContext(ctx, updates)
+	diff, err := p.mt.ApplyBatch(ctx, updates)
 	if err != nil {
 		return BatchResult{}, err
 	}
 	maintainDone := time.Now()
-	p.m.AbsorbBatchPrewarmed(p.mt.LastWrites())
+	p.m.AbsorbBatch(p.mt.LastWrites())
 	if err := p.followDiff(diff); err != nil {
 		return BatchResult{}, err
 	}

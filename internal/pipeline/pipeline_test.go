@@ -10,6 +10,7 @@ import (
 
 	"github.com/fastofd/fastofd/internal/core"
 	"github.com/fastofd/fastofd/internal/discovery"
+	"github.com/fastofd/fastofd/internal/exec"
 	"github.com/fastofd/fastofd/internal/ontology"
 	"github.com/fastofd/fastofd/internal/relation"
 )
@@ -286,7 +287,7 @@ func TestPipelinePinnedSigma(t *testing.T) {
 }
 
 // TestPipelineRegisterUnregister checks live membership changes on the
-// relaxed monitor: registering a new dependency makes its violations
+// pipeline's monitor: registering a new dependency makes its violations
 // appear in the next report exactly as a fresh Detect would explain them,
 // and unregistering restores the previous report.
 func TestPipelineRegisterUnregister(t *testing.T) {
@@ -343,6 +344,44 @@ func TestPipelineRegisterUnregister(t *testing.T) {
 		if got := reportJSON(t, p.Report()); got != baseReport {
 			t.Fatalf("trial %d: post-unregister report diverged\n got: %s\nwant: %s", trial, got, baseReport)
 		}
+	}
+}
+
+// TestPipelineBatchRecordsMonitorStages: a batch with an effective
+// consequent write runs the monitor's one batch engine, so it records the
+// monitor.route, monitor.apply, and monitor.merge spans the standalone
+// monitor records.
+func TestPipelineBatchRecordsMonitorStages(t *testing.T) {
+	schema := relation.MustSchema("A", "B")
+	rel, err := relation.FromRows(schema, [][]string{{"a1", "b1"}, {"a1", "b1"}, {"a2", "b2"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ont := ontology.New()
+	sigma := core.Set{core.MustParse(schema, "A -> B")}
+	stats := exec.NewStats()
+	p, err := New(context.Background(), rel, ont, Options{Sigma: sigma, Shards: 2, Workers: 1, Stats: stats})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.ApplyBatch(context.Background(), []core.CellUpdate{{Row: 1, Col: schema.MustIndex("B"), Value: "b9"}}); err != nil {
+		t.Fatal(err)
+	}
+	stages, _ := stats.Snapshot()
+	seen := map[string]exec.StageStat{}
+	for _, st := range stages {
+		seen[st.Name] = st
+	}
+	for _, name := range []string{"monitor.route", "monitor.apply", "monitor.merge"} {
+		if seen[name].Spans == 0 {
+			t.Fatalf("batch recorded no %s span; stages: %v", name, stats.SortedNames())
+		}
+	}
+	if seen["monitor.apply"].Items == 0 {
+		t.Fatal("monitor.apply re-verified no class")
+	}
+	if got, want := reportJSON(t, p.Report()), reportJSON(t, core.Detect(p.Relation(), ont, sigma)); got != want {
+		t.Fatalf("report diverged\n got: %s\nwant: %s", got, want)
 	}
 }
 

@@ -66,7 +66,6 @@ func Decode(r *wire.Reader, rel *relation.Relation, ont *ontology.Ontology, pc *
 	if err != nil {
 		return nil, err
 	}
-	m.Relax()
 	mt, err := discovery.DecodeMaintainerBody(r, rel, v, workers, stats)
 	if err != nil {
 		return nil, err

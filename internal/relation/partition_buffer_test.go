@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -247,7 +248,7 @@ func TestProductCanonicalOrder(t *testing.T) {
 func TestPartitionCacheConcurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	rel := randRelation(t, rng, 200, 5, 3)
-	pc := NewPartitionCacheParallel(rel, 4)
+	pc, _ := NewPartitionCacheContext(context.Background(), rel, 4)
 	sets := make([]AttrSet, 0, 24)
 	for a := 0; a < 5; a++ {
 		for b := a; b < 5; b++ {

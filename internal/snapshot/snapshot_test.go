@@ -98,9 +98,9 @@ func TestCacheRoundTrip(t *testing.T) {
 
 func TestMonitorReportIdentity(t *testing.T) {
 	ds := gen.Clinical(1000, 3)
-	m, err := core.NewMonitorSharded(t.Context(), ds.Rel, ds.Ont, ds.Sigma, 4, 2, nil)
+	m, err := core.NewMonitor(t.Context(), core.NewVerifier(ds.Rel, ds.Ont, nil), ds.Sigma, 4, 2, nil)
 	if err != nil {
-		t.Fatalf("NewMonitorSharded: %v", err)
+		t.Fatalf("NewMonitor: %v", err)
 	}
 	// Mutate before saving so overlays, multisets, and epoch are non-trivial.
 	appendRows := ds.CleanRel.Rows()[:50]
@@ -113,7 +113,7 @@ func TestMonitorReportIdentity(t *testing.T) {
 	for r := 0; r < 40; r++ {
 		batch = append(batch, core.CellUpdate{Row: r, Col: ds.Sigma[0].RHS, Value: ds.Rel.String(r+1, ds.Sigma[0].RHS)})
 	}
-	if err := m.ApplyBatch(batch); err != nil {
+	if err := m.ApplyBatch(t.Context(), batch); err != nil {
 		t.Fatalf("ApplyBatch: %v", err)
 	}
 	want := reportJSON(t, m.Report())
@@ -150,10 +150,10 @@ func TestMonitorReportIdentity(t *testing.T) {
 	}
 	for r := 0; r < 30; r++ {
 		val := ds.Rel.String((r+7)%ds.Rel.NumRows(), ds.Sigma[0].RHS)
-		if _, err := m.Update(r, ds.Sigma[0].RHS, val); err != nil {
+		if err := m.ApplyBatch(t.Context(), []core.CellUpdate{{Row: r, Col: ds.Sigma[0].RHS, Value: val}}); err != nil {
 			t.Fatalf("Update(live): %v", err)
 		}
-		if _, err := got.Monitor.Update(r, ds.Sigma[0].RHS, val); err != nil {
+		if err := got.Monitor.ApplyBatch(t.Context(), []core.CellUpdate{{Row: r, Col: ds.Sigma[0].RHS, Value: val}}); err != nil {
 			t.Fatalf("Update(restored): %v", err)
 		}
 	}
@@ -170,9 +170,9 @@ func TestMonitorSecondSaveRoundTrip(t *testing.T) {
 	// re-encode as-is, and the third generation must still report
 	// identically.
 	ds := gen.Clinical(400, 4)
-	m, err := core.NewMonitorSharded(t.Context(), ds.Rel, ds.Ont, ds.Sigma, 2, 1, nil)
+	m, err := core.NewMonitor(t.Context(), core.NewVerifier(ds.Rel, ds.Ont, nil), ds.Sigma, 2, 1, nil)
 	if err != nil {
-		t.Fatalf("NewMonitorSharded: %v", err)
+		t.Fatalf("NewMonitor: %v", err)
 	}
 	want := reportJSON(t, m.Report())
 	gen2 := saveOpen(t, &State{Monitor: m}, Options{})
@@ -215,8 +215,8 @@ func TestMaintainerCoverIdentity(t *testing.T) {
 	// Both maintainers must emit identical diffs for the same append
 	// (exercising frozen-index hydration on the restored one).
 	row := ds.Rel.Row(0)
-	d1, err1 := mt.AppendRow(row)
-	d2, err2 := got.Maintainer.AppendRow(row)
+	d1, err1 := mt.AppendRows([][]string{row})
+	d2, err2 := got.Maintainer.AppendRows([][]string{row})
 	if err1 != nil || err2 != nil {
 		t.Fatalf("AppendRow: %v / %v", err1, err2)
 	}
@@ -231,8 +231,8 @@ func TestMaintainerCoverIdentity(t *testing.T) {
 			batch = append(batch, core.CellUpdate{Row: r, Col: c, Value: ds.Rel.String((r+3)%ds.Rel.NumRows(), c)})
 		}
 	}
-	b1, err1 := mt.ApplyBatch(batch)
-	b2, err2 := got.Maintainer.ApplyBatch(batch)
+	b1, err1 := mt.ApplyBatch(t.Context(), batch)
+	b2, err2 := got.Maintainer.ApplyBatch(t.Context(), batch)
 	if err1 != nil || err2 != nil {
 		t.Fatalf("ApplyBatch: %v / %v", err1, err2)
 	}
@@ -273,7 +273,7 @@ func TestMaintainerSecondSaveRoundTrip(t *testing.T) {
 	if have := fmt.Sprint(gen3.Maintainer.Cover()); have != want {
 		t.Fatalf("third-generation cover differs:\n got %s\nwant %s", have, want)
 	}
-	if _, err := gen3.Maintainer.AppendRow(ds.Rel.Row(0)); err != nil {
+	if _, err := gen3.Maintainer.AppendRows([][]string{ds.Rel.Row(0)}); err != nil {
 		t.Fatalf("AppendRow on gen3: %v", err)
 	}
 }
@@ -282,9 +282,9 @@ func TestCombinedStateSharing(t *testing.T) {
 	// Monitor + maintainer + cache in one snapshot share one relation and
 	// ontology after reopen.
 	ds := gen.Clinical(300, 6)
-	m, err := core.NewMonitorSharded(t.Context(), ds.Rel, ds.Ont, ds.Sigma, 2, 1, nil)
+	m, err := core.NewMonitor(t.Context(), core.NewVerifier(ds.Rel, ds.Ont, nil), ds.Sigma, 2, 1, nil)
 	if err != nil {
-		t.Fatalf("NewMonitorSharded: %v", err)
+		t.Fatalf("NewMonitor: %v", err)
 	}
 	got := saveOpen(t, &State{Monitor: m, Cache: m.Partitions()}, Options{})
 	if got.Monitor.Relation() != got.Relation {
@@ -301,7 +301,7 @@ func TestCombinedStateSharing(t *testing.T) {
 func TestSaveRejectsMismatchedComponents(t *testing.T) {
 	ds1 := gen.Clinical(50, 7)
 	ds2 := gen.Clinical(50, 8)
-	m, err := core.NewMonitor(ds2.Rel, ds2.Ont, ds2.Sigma)
+	m, err := core.NewMonitor(t.Context(), core.NewVerifier(ds2.Rel, ds2.Ont, nil), ds2.Sigma, 0, 1, nil)
 	if err != nil {
 		t.Fatalf("NewMonitor: %v", err)
 	}
